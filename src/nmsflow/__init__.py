@@ -1,135 +1,14 @@
 """Exact-integer classification of closed orientable 3-manifolds that
 carry nonsingular Morse-Smale flows with a single twisted saddle orbit.
 
-The public surface re-exports the manifold value types, the seven-case
-classifier, the Seifert and surgery calculi, and the homology oracle.
+The package root re-exports the entry points of the README's Library
+section; everything else lives in its module (`classifier`, `manifolds`,
+`seifert`, `surgery`, `homology`, `expressions`, `selfcheck`).
 Everything computes over exact integers and `fractions.Fraction`; no
 floating point is used anywhere.
 """
 
-from . import seifert
-from .classifier import (
-    ClassificationResult,
-    FlowInvariant,
-    InvalidFlowInvariant,
-    InvariantKind,
-    case_predicates,
-    classify,
-    classify_quadruple,
-    enumerate_invariants,
-    intermediate_seifert,
-    kind_of,
-    valid_invariants,
-    validate_invariant,
-)
-from .expressions import ParseError, parse_manifold, render_manifold
-from .homology import AbelianGroup, cokernel, h1, h1_seifert_presentation, smith_normal_form
-from .manifolds import (
-    ConnectedSum,
-    InvalidLensParameters,
-    Lens,
-    LensParams,
-    Manifold,
-    RP3,
-    S2xS1,
-    SeifertOverS2,
-    Sphere,
-    canonicalize,
-    homeomorphic,
-    homeomorphism_key,
-    is_prime,
-    lens_canonical,
-    lens_equivalent,
-    lens_homeomorphic_unoriented,
-    seifert_over_s2,
-    seifert_to_lens,
-    sort_key,
-    sum_normalize,
-)
-from .seifert import (
-    InvalidFiber,
-    NotALens,
-    OrbitalInvariants,
-    euler_number,
-    lens_parameters,
-    nu_of,
-)
-from .selfcheck import run_selfcheck
-from .surgery import (
-    Framing,
-    GluingMatrix,
-    InvalidFraming,
-    complete_to_sl2,
-    framing_equivalent,
-    invert_framing,
-    meridian_surgery,
-    saddle_framing,
-    trivial_link_surgery,
-)
-
-seifert_normalize = seifert.normalize
-seifert_isomorphic = seifert.isomorphic
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AbelianGroup",
-    "ClassificationResult",
-    "ConnectedSum",
-    "FlowInvariant",
-    "Framing",
-    "GluingMatrix",
-    "InvalidFiber",
-    "InvalidFlowInvariant",
-    "InvalidFraming",
-    "InvalidLensParameters",
-    "InvariantKind",
-    "Lens",
-    "LensParams",
-    "Manifold",
-    "NotALens",
-    "OrbitalInvariants",
-    "ParseError",
-    "RP3",
-    "S2xS1",
-    "SeifertOverS2",
-    "Sphere",
-    "canonicalize",
-    "case_predicates",
-    "classify",
-    "classify_quadruple",
-    "cokernel",
-    "complete_to_sl2",
-    "enumerate_invariants",
-    "euler_number",
-    "framing_equivalent",
-    "h1",
-    "h1_seifert_presentation",
-    "homeomorphic",
-    "homeomorphism_key",
-    "intermediate_seifert",
-    "invert_framing",
-    "is_prime",
-    "kind_of",
-    "lens_canonical",
-    "lens_equivalent",
-    "lens_homeomorphic_unoriented",
-    "lens_parameters",
-    "meridian_surgery",
-    "nu_of",
-    "parse_manifold",
-    "render_manifold",
-    "run_selfcheck",
-    "saddle_framing",
-    "seifert",
-    "seifert_isomorphic",
-    "seifert_normalize",
-    "seifert_over_s2",
-    "seifert_to_lens",
-    "smith_normal_form",
-    "sort_key",
-    "sum_normalize",
-    "trivial_link_surgery",
-    "validate_invariant",
-    "valid_invariants",
-]
+from .classifier import classify_quadruple
+from .expressions import parse_manifold
+from .homology import h1
+from .manifolds import homeomorphic

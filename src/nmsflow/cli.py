@@ -7,8 +7,11 @@ Subcommands:
   enumerate  group admissible quadruples up to a bound by target manifold
   selfcheck  run the internal consistency battery
 
-Exit codes: 0 success, 1 expression parse error, 2 inadmissible
-quadruple, 3 selfcheck failure.
+`--bound` of enumerate and selfcheck must be a nonnegative integer;
+anything else is a usage error.
+
+Exit codes: 0 success (homeo prints true or false), 1 expression parse
+error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -26,6 +29,19 @@ from .expressions import ParseError, parse_manifold
 from .homology import h1
 from .manifolds import homeomorphic, is_prime
 from .selfcheck import run_selfcheck
+
+
+def _bound(text: str) -> int:
+    """argparse type of --bound; a rejected value exits 2 with usage."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid bound {text!r}: not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid bound {value}: must be nonnegative")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,11 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "enumerate",
         help="group admissible quadruples by homeomorphism type")
-    p.add_argument("--bound", type=int, default=4,
+    p.add_argument("--bound", type=_bound, default=4,
                    help="max |l_i|, |m_i| to enumerate (default 4)")
 
     p = sub.add_parser("selfcheck", help="run the consistency battery")
-    p.add_argument("--bound", type=int, default=6,
+    p.add_argument("--bound", type=_bound, default=6,
                    help="enumeration bound for the battery (default 6)")
     return parser
 

@@ -163,22 +163,6 @@ def lens_equivalent(a, b) -> bool:
     return (a.q - b.q) % n == 0 or (a.q + b.q) % n == 0
 
 
-def lens_homeomorphic_unoriented(a, b) -> bool:
-    """Coarser unoriented comparison: additionally q * q' = +/-1 (mod |p|).
-
-    Exposed for comparison runs only; no classification path calls it.
-    """
-    a, b = _lens_params(a), _lens_params(b)
-    if lens_equivalent(a, b):
-        return True
-    if abs(a.p) != abs(b.p):
-        return False
-    n = abs(a.p)
-    if n == 0:
-        return True
-    return (a.q * b.q - 1) % n == 0 or (a.q * b.q + 1) % n == 0
-
-
 def _lens_params(x) -> LensParams:
     if isinstance(x, LensParams):
         return x

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -201,32 +200,3 @@ def lens_parameters(fibers: Iterable[Sequence[int]]) -> tuple[int, int]:
     xi2 = (1 - nu2 * b2) // a2  # exact: alpha2 | 1 - nu2*beta2
     return (b1 * a2 - a1 * b2, b1 * nu2 + a1 * xi2)
 
-
-@dataclass(frozen=True, slots=True)
-class OrbitalInvariants:
-    """Orbital invariants (alpha, nu) of a fibered solid torus.
-
-    alpha >= 1, 0 <= nu < alpha, gcd(alpha, nu) = 1.  The tie to the Seifert
-    pair (alpha, beta) of the exceptional fiber is nu * beta = 1 (mod alpha).
-    """
-    alpha: int
-    nu: int
-
-    def __post_init__(self) -> None:
-        if self.alpha < 1:
-            raise InvalidFiber(f"multiplicity {self.alpha} must be >= 1")
-        if not 0 <= self.nu < self.alpha:
-            raise InvalidFiber(
-                f"nu = {self.nu} must lie in [0, {self.alpha})")
-        if math.gcd(self.alpha, self.nu) != 1:
-            raise InvalidFiber(
-                f"orbital invariants ({self.alpha}, {self.nu}) must be coprime")
-
-    @classmethod
-    def from_fiber(cls, pair: Sequence[int]) -> "OrbitalInvariants":
-        (alpha, beta), = check_fibers([pair])
-        return cls(alpha, nu_of(alpha, beta))
-
-    def fiber(self) -> tuple[int, int]:
-        """The Seifert pair (alpha, beta) with beta in [0, alpha)."""
-        return (self.alpha, nu_of(self.alpha, self.nu))

@@ -2,10 +2,14 @@
 
 Hard checks cross-validate independent routes to the same answers (case
 partition, homology against the case formulas, equivalence laws, Smith
-normal form against cofactor arithmetic, render/parse round trips).  Any
-hard failure makes the run return 3.  Convention-sensitive comparisons,
-where two published conventions legitimately disagree, are reported in a
-separate diagnostic section and never count as failures.
+normal form against cofactor arithmetic, render/parse round trips).  Each
+is one function in the ordered registry CHECKS, with its sizes and seed as
+keyword arguments; run_selfcheck runs them at their defaults, and the
+acceptance tests call the same functions at larger sizes.  Each returns
+(ok, detail).  Any hard failure makes the run return 3.
+Convention-sensitive comparisons, where two published conventions
+legitimately disagree, are reported in a separate diagnostic section and
+never count as failures.
 """
 
 from __future__ import annotations
@@ -15,12 +19,7 @@ import math
 import random
 
 from . import seifert
-from .classifier import (
-    case_predicates,
-    classify,
-    enumerate_invariants,
-    valid_invariants,
-)
+from .classifier import case_predicates, enumerate_invariants
 from .expressions import parse_manifold
 from .homology import AbelianGroup, h1, h1_seifert_presentation, smith_normal_form
 from .manifolds import (
@@ -30,7 +29,7 @@ from .manifolds import (
     RP3,
     S2xS1,
     Sphere,
-    homeomorphic,
+    homeomorphism_key,
     is_prime,
     lens_canonical,
     lens_equivalent,
@@ -42,48 +41,14 @@ from .surgery import Framing, framing_equivalent, invert_framing, saddle_framing
 _SEED = 0x3A7D
 
 
-def run_selfcheck(bound: int, write=print) -> int:
-    """Run every cross-validation at the given enumeration bound.
-
-    Returns 0 when all hard checks pass, 3 otherwise.
-    """
-    results = [classify(inv) for inv in valid_invariants(bound)]
-    groups = enumerate_invariants(bound)
-    write(f"selfcheck: bound {bound}, {len(results)} admissible quadruples")
-
-    checks = [
-        _check_partition(results),
-        _check_h1_formulas(results),
-        _check_h1_classes(groups),
-        _check_case7(results, groups),
-        _check_framing_involution(),
-        _check_snf(),
-        _check_lens_predicate(),
-        _check_seifert_forms(),
-        _check_roundtrip(groups),
-    ]
-    failures = 0
-    for name, ok, detail in checks:
-        if not ok:
-            failures += 1
-        write(f"{'PASS' if ok else 'FAIL'} {name:<26} {detail}")
-    write("diagnostics (convention-sensitive, informational):")
-    for name, detail in _diagnostics(results):
-        write(f"DIAG {name:<26} {detail}")
-    if failures:
-        write(f"selfcheck: {failures} hard failure(s)")
-        return 3
-    write(f"selfcheck: all {len(checks)} hard checks passed")
-    return 0
-
-
-def _check_partition(results):
+def check_partition(results):
+    """Each quadruple hits exactly one case predicate, the case reported."""
     bad = 0
     for r in results:
         hits = case_predicates(r.invariant.l1, r.invariant.l2)
         if sum(hits) != 1 or hits.index(True) + 1 != r.case:
             bad += 1
-    return ("case-partition", bad == 0,
+    return (bad == 0,
             f"{len(results)} quadruples, exactly one case each"
             if bad == 0 else f"{bad} quadruples hit != 1 case")
 
@@ -108,7 +73,8 @@ def _fiber_order(fibers) -> int:
     return abs(total)
 
 
-def _check_h1_formulas(results):
+def check_h1_formulas(results):
+    """h1 of each classifier output against the per-case closed form."""
     bad = []
     for r in results:
         l1, m1, l2, m2 = r.invariant.quadruple()
@@ -129,43 +95,42 @@ def _check_h1_formulas(results):
             ok = group.order() == _fiber_order(r.manifold.fibers)
         if not ok:
             bad.append(r.invariant.quadruple())
-    return ("h1-case-formulas", not bad,
+    return (not bad,
             f"h1 matches the case formulas on {len(results)} results"
             if not bad else f"mismatch at {bad[:3]}")
 
 
-def _check_h1_classes(groups):
+def check_h1_classes(groups):
+    """h1 is constant on each homeomorphism class of enumerate_invariants."""
     bad = 0
     for rep, members in groups:
         seen = {h1(rep)}
         seen.update(h1(r.manifold) for r in members)
         if len(seen) != 1:
             bad += 1
-    return ("h1-on-homeo-classes", bad == 0,
+    return (bad == 0,
             f"h1 constant on {len(groups)} classes"
             if bad == 0 else f"{bad} classes with mixed h1")
 
 
-def _check_case7(results, groups):
-    lens_like = [rep for rep, _ in groups
-                 if isinstance(rep, (Sphere, S2xS1, RP3, Lens))]
+def check_case7(results, lens_like):
+    """Case-7 outputs pass the three-fiber obstruction, are prime, and are
+    homeomorphic to none of the lens-type values `lens_like`."""
+    lens_keys = {homeomorphism_key(m) for m in lens_like}
     outputs = {r.manifold for r in results if r.case == 7}
-    bad = 0
-    for m in outputs:
-        if not seifert.not_lens_obstruction(m.fibers):
-            bad += 1
-        elif not is_prime(m):
-            bad += 1
-        elif any(homeomorphic(m, other) for other in lens_like):
-            bad += 1
-    return ("case7-obstructions", bad == 0,
+    bad = sum(1 for m in outputs
+              if not seifert.not_lens_obstruction(m.fibers)
+              or not is_prime(m)
+              or homeomorphism_key(m) in lens_keys)
+    return (bad == 0,
             f"{len(outputs)} fibered outputs prime and distinct from "
             f"{len(lens_like)} lens-type classes"
             if bad == 0 else f"{bad} fibered outputs failed")
 
 
-def _check_framing_involution():
-    limit = 25
+def check_framing_involution(*, limit=25):
+    """Inverting a framing twice gives an equivalent framing, for every
+    coprime (beta, alpha) in [-limit, limit]^2; the saddle inverts to (1,2)."""
     count = 0
     bad = 0
     for beta in range(-limit, limit + 1):
@@ -176,10 +141,9 @@ def _check_framing_involution():
             count += 1
             if not framing_equivalent(invert_framing(invert_framing(f)), f):
                 bad += 1
-    _, saddle = saddle_framing()
-    if not framing_equivalent(invert_framing(saddle), Framing(1, 2)):
+    if not framing_equivalent(invert_framing(saddle_framing()), Framing(1, 2)):
         bad += 1
-    return ("framing-involution", bad == 0,
+    return (bad == 0,
             f"double inversion fixes {count} framings; saddle inverts to (1,2)"
             if bad == 0 else f"{bad} violations")
 
@@ -231,38 +195,44 @@ def _chain_ok(diag) -> bool:
     return all(d >= 0 for d in diag)
 
 
-def _check_snf():
-    rng = random.Random(_SEED)
+_BOX_CAPS = {1: 30, 2: 30, 3: 30}
+
+
+def check_snf(*, count=300, max_size=4, seed=_SEED, box_caps=_BOX_CAPS):
+    """Smith normal form of `count` random matrices with up to `max_size`
+    rows and columns and entries in [-9, 9]: min(rows, cols) diagonal
+    entries forming a divisor chain, product |det| for square matrices by
+    cofactor expansion, and, for an n x n matrix with 0 < |det| <=
+    box_caps[n], |det| residue classes counted in the lattice quotient."""
+    rng = random.Random(seed)
     bad = 0
     boxed = 0
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
+    for _ in range(count):
+        n = rng.randint(1, max_size)
+        cols = rng.randint(1, max_size)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
         diag = smith_normal_form(m)
-        if not _chain_ok(diag):
+        if len(diag) != min(n, cols) or not _chain_ok(diag):
             bad += 1
             continue
         if n == cols:
             det = _det(m)
-            prod = 1
-            for d in diag:
-                prod *= d
-            if prod != abs(det):
+            if math.prod(diag) != abs(det):
                 bad += 1
                 continue
-            if n <= 3 and 0 < abs(det) <= 30:
+            if 0 < abs(det) <= box_caps.get(n, 0):
                 boxed += 1
                 if _coker_order_box(m, det) != abs(det):
                     bad += 1
-    return ("snf-vs-cofactors", bad == 0,
-            f"300 random matrices: chains ok, |det| preserved, "
+    return (bad == 0,
+            f"{count} random matrices: chains ok, |det| preserved, "
             f"{boxed} lattice quotients counted"
             if bad == 0 else f"{bad} violations")
 
 
-def _check_lens_predicate():
-    limit = 12
+def check_lens_predicate(*, limit=12):
+    """lens_equivalent agrees with equality of canonical forms on all
+    admissible parameter pairs with |p|, |q| <= limit."""
     params = []
     for p in range(-limit, limit + 1):
         for q in range(-limit, limit + 1):
@@ -274,28 +244,32 @@ def _check_lens_predicate():
         for b in params:
             if lens_equivalent(a, b) != (canon[a] == canon[b]):
                 bad += 1
-    return ("lens-equivalence", bad == 0,
+    return (bad == 0,
             f"predicate agrees with canonical forms on {len(params)}^2 pairs"
             if bad == 0 else f"{bad} disagreements")
 
 
-def _random_fibers(rng, max_len=4):
+def random_fibers(rng, max_len=4, alpha_max=9, beta_max=9):
+    """Up to max_len valid fiber pairs, alpha in [1, alpha_max] and beta in
+    [-beta_max, beta_max]."""
     fibers = []
     for _ in range(rng.randint(0, max_len)):
-        alpha = rng.randint(1, 9)
+        alpha = rng.randint(1, alpha_max)
         while True:
-            beta = rng.randint(-9, 9)
+            beta = rng.randint(-beta_max, beta_max)
             if alpha == 1 or math.gcd(alpha, beta) == 1:
                 break
         fibers.append((alpha, beta))
     return tuple(fibers)
 
 
-def _check_seifert_forms():
-    rng = random.Random(_SEED + 1)
+def check_seifert_forms(*, count=200, seed=_SEED + 1):
+    """normalize is idempotent and keeps the Euler number, isomorphy and
+    h1; the isomorphism key ignores order and ordinary (1, 0) fibers."""
+    rng = random.Random(seed)
     bad = 0
-    for _ in range(200):
-        s = _random_fibers(rng)
+    for _ in range(count):
+        s = random_fibers(rng)
         n = seifert.normalize(s)
         if seifert.normalize(n) != n:
             bad += 1
@@ -310,19 +284,69 @@ def _check_seifert_forms():
         shuffled.append((1, 0))
         if seifert.isomorphism_key(s) != seifert.isomorphism_key(shuffled):
             bad += 1
-    return ("seifert-normal-forms", bad == 0,
-            "200 random fiber lists: normalize/euler/isomorphy/h1 consistent"
+    return (bad == 0,
+            f"{count} random fiber lists: normalize/euler/isomorphy/h1 consistent"
             if bad == 0 else f"{bad} violations")
 
 
-def _check_roundtrip(groups):
+def check_roundtrip(groups):
+    """Every representative and member value survives render then parse."""
     values = {rep for rep, _ in groups}
     for _, members in groups:
         values.update(r.manifold for r in members)
     bad = [m for m in values if parse_manifold(str(m)) != m]
-    return ("render-parse-roundtrip", not bad,
+    return (not bad,
             f"{len(values)} distinct values round-trip"
             if not bad else f"{len(bad)} values failed, e.g. {bad[0]}")
+
+
+# Registry of hard checks in report order: name, check, and the inputs
+# that run_selfcheck derives from its bound and passes positionally.
+CHECKS = (
+    ("case-partition", check_partition, ("results",)),
+    ("h1-case-formulas", check_h1_formulas, ("results",)),
+    ("h1-on-homeo-classes", check_h1_classes, ("groups",)),
+    ("case7-obstructions", check_case7, ("results", "lens_like")),
+    ("framing-involution", check_framing_involution, ()),
+    ("snf-vs-cofactors", check_snf, ()),
+    ("lens-equivalence", check_lens_predicate, ()),
+    ("seifert-normal-forms", check_seifert_forms, ()),
+    ("render-parse-roundtrip", check_roundtrip, ("groups",)),
+)
+
+
+def run_selfcheck(bound: int, write=print) -> int:
+    """Run every registered check at its defaults and the given bound.
+
+    Each admissible quadruple is classified once, by enumerate_invariants;
+    `results` lists them in input order, `groups` by homeomorphism class,
+    and `lens_like` holds the lens-type class representatives.  Returns 0
+    when all hard checks pass, 3 otherwise.
+    """
+    groups = enumerate_invariants(bound)
+    results = sorted((r for _, members in groups for r in members),
+                     key=lambda r: r.invariant.quadruple())
+    inputs = {
+        "results": results,
+        "groups": groups,
+        "lens_like": [rep for rep, _ in groups
+                      if isinstance(rep, (Sphere, S2xS1, RP3, Lens))],
+    }
+    write(f"selfcheck: bound {bound}, {len(results)} admissible quadruples")
+    failures = 0
+    for name, check, needs in CHECKS:
+        ok, detail = check(*(inputs[k] for k in needs))
+        if not ok:
+            failures += 1
+        write(f"{'PASS' if ok else 'FAIL'} {name:<26} {detail}")
+    write("diagnostics (convention-sensitive, informational):")
+    for name, detail in _diagnostics(results):
+        write(f"DIAG {name:<26} {detail}")
+    if failures:
+        write(f"selfcheck: {failures} hard failure(s)")
+        return 3
+    write(f"selfcheck: all {len(CHECKS)} hard checks passed")
+    return 0
 
 
 def _diagnostics(results):
@@ -355,7 +379,7 @@ def _diagnostics(results):
     differ = 0
     example = None
     for _ in range(200):
-        s = _random_fibers(rng)
+        s = random_fibers(rng)
         if len(seifert.exceptional_fibers(s)) > 2:
             continue
         lens_route = h1(seifert_to_lens(s))

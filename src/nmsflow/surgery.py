@@ -1,22 +1,17 @@
-"""Dehn surgery bookkeeping: framings, gluing matrices, and fillings.
+"""Dehn surgery framings.
 
 A framing (beta, alpha) records the image of a meridian on the boundary
-torus; a gluing matrix is the full attaching map, a determinant-1 integer
-matrix with rows (xi, -nu), (beta, alpha).  Everything is exact integer
-arithmetic in SL(2, Z).
+torus.  Everything is exact integer arithmetic in SL(2, Z).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-from .manifolds import Manifold, lens_canonical, sum_normalize
 
 
 class InvalidFraming(ValueError):
-    """Framing or gluing data violates coprimality / determinant 1."""
+    """A framing (beta, alpha) that is not coprime."""
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -41,32 +36,6 @@ class Framing:
         if math.gcd(self.beta, self.alpha) != 1:
             raise InvalidFraming(
                 f"framing ({self.beta}, {self.alpha}) is not coprime")
-
-
-@dataclass(frozen=True, slots=True)
-class GluingMatrix:
-    """Attaching map with rows (xi, -nu), (beta, alpha), determinant 1.
-
-    The determinant condition reads xi * alpha + nu * beta = 1, which also
-    certifies that (beta, alpha) is a valid framing.
-    """
-    xi: int
-    nu: int
-    beta: int
-    alpha: int
-
-    def __post_init__(self) -> None:
-        if self.xi * self.alpha + self.nu * self.beta != 1:
-            raise InvalidFraming(
-                f"gluing matrix rows ({self.xi}, {-self.nu}), "
-                f"({self.beta}, {self.alpha}) must have determinant 1")
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.xi, -self.nu), (self.beta, self.alpha))
-
-    @property
-    def framing(self) -> Framing:
-        return Framing(self.beta, self.alpha)
 
 
 def framing_equivalent(a: Framing, b: Framing) -> bool:
@@ -96,55 +65,13 @@ def invert_framing(f: Framing) -> Framing:
     return Framing(-f.beta, x % abs(f.beta))
 
 
-def complete_to_sl2(pair: Sequence[int]) -> GluingMatrix:
-    """Complete a coprime row (a, c) to a determinant-1 matrix.
+def saddle_framing() -> Framing:
+    """Framing forced on a twisted saddle orbit's neighborhood.
 
-    Returns the matrix with rows (a, c), (x, y) where a*y - c*x = 1 and y is
-    the least nonnegative representative of a^-1 mod |c|; for c = 0 the
-    completion is the row (0, a) (a = +/-1 there).
+    The longitude maps to (2, 1).  Completing that row to a determinant-1
+    matrix in SL(2, Z) with rows (2, 1), (beta, alpha) means solving
+    2 * alpha - beta = 1; the canonical normalization takes alpha as the
+    least nonnegative representative of 2^-1 mod 1, which is 0, so
+    (beta, alpha) = (-1, 0).
     """
-    a, c = pair
-    if math.gcd(a, c) != 1:
-        raise InvalidFraming(f"({a}, {c}) is not coprime")
-    if c == 0:
-        x, y = 0, a  # a*y - c*x = a*a = 1
-    else:
-        _, u, _ = _xgcd(a, c)  # u*a + v*c = 1
-        y = u % abs(c)
-        x = (a * y - 1) // c  # exact: c | a*y - 1
-    return GluingMatrix(xi=a, nu=-c, beta=x, alpha=y)
-
-
-def saddle_framing() -> tuple[GluingMatrix, Framing]:
-    """Attaching data forced on a twisted saddle orbit's neighborhood.
-
-    The longitude maps to (2, 1); completing to determinant 1 under the
-    canonical normalization solves 2 * alpha - beta = 1 as (beta, alpha) =
-    (-1, 0), i.e. the matrix with rows (2, 1), (-1, 0).
-    """
-    m = complete_to_sl2((2, 1))
-    return m, m.framing
-
-
-def meridian_surgery(q: int, p: int) -> Manifold:
-    """Fill a solid-torus meridian with framing (q, p).
-
-    The result is the lens space with parameters (p, q); note the argument
-    transposition between framing order and lens order.
-    """
-    if math.gcd(q, p) != 1:
-        raise InvalidFraming(f"framing ({q}, {p}) is not coprime")
-    return lens_canonical(p, q)
-
-
-def trivial_link_surgery(base: Manifold,
-                         framings: Iterable[Sequence[int]]) -> Manifold:
-    """Surgery on an unknotted, unlinked family of components in base.
-
-    Each component with framing (q_i, p_i) contributes a lens summand with
-    parameters (p_i, q_i); the result is the normalized connected sum.
-    """
-    pieces: list[Manifold] = [base]
-    for q, p in framings:
-        pieces.append(meridian_surgery(q, p))
-    return sum_normalize(pieces)
+    return Framing(-1, 0)

@@ -2,14 +2,14 @@
 
 Everything here is deliberately written from scratch with different
 algorithms than the package: lens equivalence by quantifier search
-instead of canonical forms, determinants by cofactor expansion instead
-of elimination, cokernel orders by counting residue classes in a box
-instead of Smith normal form.  Tests compare the two routes.
+instead of canonical forms, invariant factors of a pair by gcd and lcm
+instead of Smith normal form.  Tests compare the two routes.  The
+cofactor and lattice-count oracle for Smith normal form lives in
+`nmsflow.selfcheck`, whose shipped battery needs it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 
@@ -27,50 +27,6 @@ def lens_equivalent_bruteforce(pa, qa, pb, qb) -> bool:
             if qb == s * qa + k * n:
                 return True
     return False
-
-
-def det_cofactor(m) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det_cofactor(minor)
-    return total
-
-
-def adjugate(m):
-    n = len(m)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:]
-                     for k, row in enumerate(m) if k != i]
-            adj[j][i] = (-1) ** (i + j) * (det_cofactor(minor) if minor else 1)
-    return adj
-
-
-def coker_order_bruteforce(m) -> int:
-    """Order of Z^n / rowspan(m) for square nonsingular m, by counting.
-
-    Vectors v, w are congruent mod the row lattice iff v*adj(m) == w*adj(m)
-    (mod |det|), so the class of v is read off without any elimination.
-    The box [0, |det|)^n surjects onto the quotient.
-    """
-    n = len(m)
-    det = det_cofactor(m)
-    if det == 0:
-        raise ValueError("singular matrix")
-    adj = adjugate(m)
-    d = abs(det)
-    seen = set()
-    for v in itertools.product(range(d), repeat=n):
-        seen.add(tuple(sum(v[i] * adj[i][j] for i in range(n)) % d
-                       for j in range(n)))
-    return len(seen)
 
 
 def invariant_factors_of_pair(a: int, b: int):

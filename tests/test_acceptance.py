@@ -10,16 +10,8 @@ import random
 import time
 from pathlib import Path
 
-from oracles import coker_order_bruteforce, det_cofactor
-
 from nmsflow import seifert
-from nmsflow.classifier import (
-    case_predicates,
-    classify,
-    classify_quadruple,
-    valid_invariants,
-)
-from nmsflow.homology import AbelianGroup, h1, smith_normal_form
+from nmsflow.classifier import classify, classify_quadruple, valid_invariants
 from nmsflow.manifolds import (
     ConnectedSum,
     Lens,
@@ -27,14 +19,20 @@ from nmsflow.manifolds import (
     S2xS1,
     Sphere,
     homeomorphic,
-    is_prime,
     lens_canonical,
     lens_equivalent,
     seifert_over_s2,
     sum_normalize,
 )
-from nmsflow.selfcheck import run_selfcheck
-from nmsflow.surgery import Framing, framing_equivalent, invert_framing, saddle_framing
+from nmsflow.selfcheck import (
+    check_case7,
+    check_framing_involution,
+    check_h1_formulas,
+    check_partition,
+    check_snf,
+    random_fibers,
+    run_selfcheck,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_classify.tsv"
 
@@ -66,63 +64,24 @@ def test_criterion_1_golden_case_table():
             f"{len(bad)} mismatches, {elapsed:.2f}s (budget 1s)")
 
 
+def _classified(bound):
+    return [classify(inv) for inv in valid_invariants(bound)]
+
+
 def test_criterion_2_case_partition():
     t0 = time.monotonic()
-    count = 0
-    bad = 0
-    for inv in valid_invariants(10):
-        count += 1
-        if sum(case_predicates(inv.l1, inv.l2)) != 1:
-            bad += 1
+    ok, detail = check_partition(_classified(10))
     elapsed = time.monotonic() - t0
-    ok = bad == 0 and elapsed < 5.0
-    _report(2, "case partition", ok,
-            f"{count} valid quadruples at bound 10, exactly one predicate "
-            f"each, {bad} violations, {elapsed:.2f}s (budget 5s)")
-
-
-def _sum_side_group(l: int) -> AbelianGroup:
-    if l == 0:
-        return AbelianGroup(1, (2,))
-    a = abs(l)
-    g = math.gcd(a, 2)
-    return AbelianGroup(0, tuple(d for d in (g, 2 * a // g) if d >= 2))
+    _report(2, "case partition", ok and elapsed < 5.0,
+            f"bound 10: {detail}, {elapsed:.2f}s (budget 5s)")
 
 
 def test_criterion_3_homology_cross_validation():
     t0 = time.monotonic()
-    count = 0
-    bad = 0
-    for inv in valid_invariants(8):
-        res = classify(inv)
-        group = h1(res.manifold)
-        l1, m1, l2, m2 = inv.quadruple()
-        count += 1
-        if res.case == 1:
-            ok = group == _sum_side_group(l2)
-        elif res.case == 2:
-            ok = group == _sum_side_group(l1)
-        elif res.case == 3:
-            ok = group == _sum_side_group(0)
-        elif res.case == 4:
-            ok = group.order() == abs(2 * m2 - l2)
-        elif res.case == 5:
-            ok = group.order() == abs(2 * m1 - l1)
-        elif res.case == 6:
-            ok = group == AbelianGroup(0)
-        else:
-            fibers = res.manifold.fibers
-            total = sum(
-                beta * math.prod(a for j, (a, _) in enumerate(fibers) if j != i)
-                for i, (_, beta) in enumerate(fibers))
-            ok = group.order() == abs(total)
-        if not ok:
-            bad += 1
+    ok, detail = check_h1_formulas(_classified(8))
     elapsed = time.monotonic() - t0
-    ok = bad == 0 and elapsed < 30.0
-    _report(3, "homology cross-validation", ok,
-            f"{count} outputs at bound 8 against the case formulas, "
-            f"{bad} violations, {elapsed:.1f}s (budget 30s)")
+    _report(3, "homology cross-validation", ok and elapsed < 30.0,
+            f"bound 8: {detail}, {elapsed:.1f}s (budget 30s)")
 
 
 def test_criterion_4_surjectivity():
@@ -178,73 +137,19 @@ def test_criterion_4_surjectivity():
 
 def test_criterion_5_framing_involution():
     t0 = time.monotonic()
-    count = 0
-    bad = 0
-    for beta in range(-50, 51):
-        for alpha in range(-50, 51):
-            if math.gcd(beta, alpha) != 1:
-                continue
-            count += 1
-            f = Framing(beta, alpha)
-            if not framing_equivalent(invert_framing(invert_framing(f)), f):
-                bad += 1
-    _, f = saddle_framing()
-    saddle_ok = framing_equivalent(invert_framing(f), Framing(1, 2))
+    ok, detail = check_framing_involution(limit=50)
     elapsed = time.monotonic() - t0
-    ok = bad == 0 and saddle_ok
     _report(5, "framing involution", ok,
-            f"{count} coprime framings double-invert to equivalents, "
-            f"{bad} violations, saddle inverts to (1,2): {saddle_ok}, "
-            f"{elapsed:.1f}s")
+            f"|beta|, |alpha| <= 50: {detail}, {elapsed:.1f}s")
 
 
 def test_criterion_6_snf_oracle():
     t0 = time.monotonic()
-    rng = random.Random(0xC0FFEE)
-    chain_bad = det_bad = box_bad = 0
-    squares = 0
-    boxes = 0
-    for _ in range(10_000):
-        nr = rng.randint(1, 5)
-        nc = rng.randint(1, 5)
-        m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        diag = smith_normal_form(m)
-        broken = any(d < 0 for d in diag)
-        for i in range(1, len(diag)):
-            if diag[i - 1] == 0:
-                broken = broken or diag[i] != 0
-            else:
-                broken = broken or diag[i] % diag[i - 1] != 0
-        if broken:
-            chain_bad += 1
-        if nr == nc:
-            squares += 1
-            det = det_cofactor(m)
-            if math.prod(diag) != abs(det):
-                det_bad += 1
-            cap = {2: 50, 3: 20}.get(nr)
-            if cap and det != 0 and abs(det) <= cap:
-                boxes += 1
-                if coker_order_bruteforce(m) != abs(det):
-                    box_bad += 1
+    ok, detail = check_snf(count=10_000, max_size=5, seed=0xC0FFEE,
+                           box_caps={2: 50, 3: 20})
     elapsed = time.monotonic() - t0
-    ok = chain_bad == 0 and det_bad == 0 and box_bad == 0 and elapsed < 60.0
-    _report(6, "snf oracle", ok,
-            f"10000 random matrices ({squares} square, {boxes} brute-forced "
-            f"lattice quotients), violations {chain_bad}/{det_bad}/{box_bad}, "
-            f"{elapsed:.1f}s (budget 60s)")
-
-
-def _random_fibers(rng, max_len=4, alpha_max=9, beta_max=9):
-    out = []
-    for _ in range(rng.randint(0, max_len)):
-        alpha = rng.randint(1, alpha_max)
-        while True:
-            beta = rng.randint(-beta_max, beta_max)
-            if alpha == 1 or math.gcd(alpha, beta) == 1:
-                break
-        out.append((alpha, beta))
-    return tuple(out)
+    _report(6, "snf oracle", ok and elapsed < 60.0,
+            f"up to 5x5: {detail}, {elapsed:.1f}s (budget 60s)")
 
 
 def _isomorphic_variant(rng, s):
@@ -307,9 +212,9 @@ def test_criterion_7_equivalence_laws():
     seif_bad = 0
     seif_triples = 0
     for _ in range(10_000):
-        a = _random_fibers(rng2)
+        a = random_fibers(rng2)
         if rng2.random() < 0.5:
-            b = _random_fibers(rng2)
+            b = random_fibers(rng2)
         else:
             b = _isomorphic_variant(rng2, a)
         if not seifert.isomorphic(a, a):
@@ -358,13 +263,10 @@ def test_criterion_7_equivalence_laws():
 
 def test_criterion_8_case7_obstructions():
     t0 = time.monotonic()
+    results = _classified(8)
     lens_like = set()
-    case7 = set()
-    for inv in valid_invariants(8):
-        res = classify(inv)
+    for res in results:
         m = res.manifold
-        if res.case == 7:
-            case7.add(m)
         pieces = m.summands if isinstance(m, ConnectedSum) else (m,)
         for piece in pieces:
             if isinstance(piece, (Sphere, S2xS1, RP3, Lens)):
@@ -372,21 +274,12 @@ def test_criterion_8_case7_obstructions():
     lens_grid = {lens_canonical(p, q)
                  for p in range(31) for q in range(1, 31)
                  if math.gcd(p, q) == 1} | {lens_canonical(0, 1)}
-    bad = 0
-    for m in case7:
-        if not is_prime(m):
-            bad += 1
-        if not seifert.not_lens_obstruction(m.fibers):
-            bad += 1
-        if any(homeomorphic(m, x) for x in lens_like | lens_grid):
-            bad += 1
+    ok, detail = check_case7(results, lens_like | lens_grid)
     elapsed = time.monotonic() - t0
-    ok = bad == 0
     _report(8, "case-7 obstructions", ok,
-            f"{len(case7)} distinct fibered outputs at bound 8: prime, "
-            f"three-fiber obstruction, distinct from {len(lens_like)} "
-            f"enumerated and {len(lens_grid)} grid lens-type values, "
-            f"{bad} violations, {elapsed:.1f}s")
+            f"bound 8: {detail}: the {len(lens_like)} lens-type summands "
+            f"at bound 8 and the {len(lens_grid)} values of the p, q <= 30 "
+            f"grid, {elapsed:.1f}s")
 
 
 def test_criterion_9_selfcheck():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nmsflow.cli import main
 
 
@@ -92,11 +94,28 @@ def test_enumerate_bound_one(capsys):
                    "S2xS1 # RP3  h1=Z + Z/2  count=4  e.g. (0, -1, 0, -1)\n")
 
 
+def test_negative_bound_is_a_usage_error(capsys):
+    for argv in (["enumerate", "--bound", "-3"],
+                 ["selfcheck", "--bound", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid bound" in captured.err
+
+
 def test_selfcheck_command(capsys):
     assert main(["selfcheck", "--bound", "3"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "PASS case-partition" in out
+    passed = [line.split()[1] for line in out.splitlines()
+              if line.startswith("PASS ")]
+    assert passed == ["case-partition", "h1-case-formulas",
+                      "h1-on-homeo-classes", "case7-obstructions",
+                      "framing-involution", "snf-vs-cofactors",
+                      "lens-equivalence", "seifert-normal-forms",
+                      "render-parse-roundtrip"]
     assert "diagnostics" in out
     assert "DIAG case45-vs-fibration" in out
     assert "DIAG lens-route-vs-presentation" in out

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import coker_order_bruteforce, det_cofactor, invariant_factors_of_pair
+from oracles import invariant_factors_of_pair
 
 from nmsflow import seifert
 from nmsflow.homology import (
@@ -22,6 +22,7 @@ from nmsflow.manifolds import (
     seifert_over_s2,
     sum_normalize,
 )
+from nmsflow.selfcheck import check_snf
 
 
 def test_abelian_group_str():
@@ -66,27 +67,8 @@ def test_smith_normal_form_rejects_ragged_rows():
 
 
 def test_smith_normal_form_random_vs_cofactors():
-    rng = random.Random(4451)
-    for _ in range(500):
-        n = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
-        diag = smith_normal_form(m)
-        assert len(diag) == min(n, cols)
-        assert all(d >= 0 for d in diag)
-        for i in range(1, len(diag)):
-            if diag[i - 1] == 0:
-                assert diag[i] == 0
-            else:
-                assert diag[i] % diag[i - 1] == 0
-        if n == cols:
-            det = det_cofactor(m)
-            prod = 1
-            for d in diag:
-                prod *= d
-            assert prod == abs(det)
-            if n <= 3 and 0 < abs(det) <= 30:
-                assert coker_order_bruteforce(m) == abs(det)
+    ok, detail = check_snf(count=500, seed=4451)
+    assert ok, detail
 
 
 def test_cokernel():

@@ -78,14 +78,6 @@ def test_lens_equivalent_matches_bruteforce_and_canonical():
             assert got == (canon[a] == canon[b])
 
 
-def test_lens_homeomorphic_unoriented():
-    # q * q' = -1 (mod 7) joins L(7,2) and L(7,3) without orientation
-    assert mf.lens_homeomorphic_unoriented((7, 2), (7, 3))
-    assert not mf.lens_equivalent((7, 2), (7, 3))
-    assert mf.lens_homeomorphic_unoriented((5, 2), (5, 3))
-    assert not mf.lens_homeomorphic_unoriented((5, 2), (7, 2))
-
-
 def test_sort_key_total_order():
     values = [mf.RP3(), mf.Lens(4, 1), mf.Sphere(),
               mf.SeifertOverS2(((2, 1), (3, 1), (7, 2))), mf.S2xS1(),

@@ -1,22 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from nmsflow import seifert
-
-
-def _random_fibers(rng, max_len=4, alpha_max=12, beta_max=40):
-    out = []
-    for _ in range(rng.randint(0, max_len)):
-        alpha = rng.randint(1, alpha_max)
-        while True:
-            beta = rng.randint(-beta_max, beta_max)
-            if alpha == 1 or math.gcd(alpha, beta) == 1:
-                break
-        out.append((alpha, beta))
-    return tuple(out)
+from nmsflow.selfcheck import random_fibers
 
 
 def test_check_fibers_accepts_valid_data():
@@ -49,7 +37,7 @@ def test_normalize_frozen_values():
 def test_normalize_shape_and_invariance_seeded():
     rng = random.Random(20260815)
     for _ in range(2000):
-        s = _random_fibers(rng)
+        s = random_fibers(rng, alpha_max=12, beta_max=40)
         n = seifert.normalize(s)
         assert seifert.normalize(n) == n
         assert seifert.euler_number(n) == seifert.euler_number(s)
@@ -104,7 +92,7 @@ def test_isomorphism_key_equates_flip_families():
 
 def test_isomorphism_key_agrees_with_isomorphic_seeded():
     rng = random.Random(97)
-    pool = [_random_fibers(rng, max_len=3, alpha_max=6, beta_max=9)
+    pool = [random_fibers(rng, max_len=3, alpha_max=6, beta_max=9)
             for _ in range(60)]
     keys = [seifert.isomorphism_key(s) for s in pool]
     for i, a in enumerate(pool):
@@ -139,24 +127,3 @@ def test_lens_parameters_folds_integer_term():
     assert seifert.lens_parameters([(1, 2), (3, 2)]) == (8, 3)
     p, q = seifert.lens_parameters([(1, 1), (2, 1), (3, 1)])
     assert p == 3 * (1 + 2) - 2 * 1
-
-
-def test_orbital_invariants_round_trip():
-    oi = seifert.OrbitalInvariants.from_fiber((5, 3))
-    assert (oi.alpha, oi.nu) == (5, 2)
-    assert oi.fiber() == (5, 3)
-    for alpha in range(1, 12):
-        for beta in range(alpha if alpha > 1 else 1):
-            if math.gcd(alpha, beta) != 1:
-                continue
-            oi = seifert.OrbitalInvariants.from_fiber((alpha, beta))
-            assert oi.fiber() == (alpha, beta)
-
-
-def test_orbital_invariants_validation():
-    with pytest.raises(seifert.InvalidFiber):
-        seifert.OrbitalInvariants(4, 2)
-    with pytest.raises(seifert.InvalidFiber):
-        seifert.OrbitalInvariants(3, 3)
-    with pytest.raises(seifert.InvalidFiber):
-        seifert.OrbitalInvariants(0, 0)
