@@ -109,9 +109,12 @@ class ClassificationResult:
     """Outcome of the case analysis for one invariant.
 
     `intermediate_seifert` is the unreduced three-fiber data (present iff
-    l1 * l2 != 0); `lens_before_rp3_sum` keeps the raw lens parameters of
-    the non-RP3 summand in cases 1 to 3.  The input invariant is retained,
-    so sign provenance survives the |l| multiplicities in the output.
+    l1 * l2 != 0).  In case 7 it fibers `manifold`.  In cases 4 and 5 it is
+    the formal triple only, in general not a fibration of `manifold`: their
+    H1 differ on 2,600 of the 3,536 case 4 and 5 results with entries up
+    to 6.  `lens_before_rp3_sum` keeps the raw lens parameters of the
+    non-RP3 summand in cases 1 to 3.  The input invariant is retained, so
+    sign provenance survives the |l| multiplicities in the output.
     """
     invariant: FlowInvariant
     case: int

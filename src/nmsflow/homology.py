@@ -162,9 +162,10 @@ def h1_seifert_presentation(fibers: Iterable[Sequence[int]]) -> AbelianGroup:
 
     For fibers (alpha_i, beta_i), i = 1..r, the presentation has generators
     x_1, ..., x_r, h and the (r+1) x (r+1) relation matrix with rows
-    alpha_i * x_i + beta_i * h = 0 and sum_i x_i = 0.  The integer term is
-    treated as the fiber (1, b).  For r = 0 the matrix is the 1 x 1 zero
-    matrix and the group is Z.
+    alpha_i * x_i + beta_i * h = 0 and sum_i x_i = 0: the sign convention
+    stated in the seifert module, which lens_parameters shares.  The
+    integer term is treated as the fiber (1, b).  For r = 0 the matrix is
+    the 1 x 1 zero matrix and the group is Z.
     """
     data = seifert.check_fibers(fibers)
     r = len(data)

@@ -232,13 +232,15 @@ def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
 
 
 def homeomorphism_key(m: Manifold) -> Manifold:
-    """A complete homeomorphism invariant for the values this library emits.
+    """A homeomorphism invariant: equal keys mean homeomorphic values.
 
     Seifert values with <= 2 exceptional fibers resolve to their lens form;
     those with >= 3 keep their fibration but reduce the fibers to the
     canonical isomorphism-class representative (a fibration with >= 3
     exceptional fibers is never a lens space, and over the closed base its
     isomorphism class determines the manifold).  Sums resolve summand-wise.
+    The key is not complete: lens_canonical keeps L(p, q) and L(p, q')
+    with q * q' = +/-1 (mod p) apart, although they are homeomorphic.
     """
     m = canonicalize(m)
     if isinstance(m, SeifertOverS2):
@@ -256,20 +258,5 @@ def homeomorphic(a: Manifold, b: Manifold) -> bool:
 
 
 def is_prime(m: Manifold) -> bool:
-    """Primeness of a canonical value.
-
-    Atoms and lens spaces are prime.  Sums are not.  Every Seifert value
-    here is prime except the four-fiber exception: normalized exceptional
-    fibers (2,1),(2,1),(2,1),(2,1) with integer term 0 (the literal tuple)
-    or -2 (the Euler-number-0 variant), which splits as RP3 # RP3.
-    """
-    m = canonicalize(m)
-    if isinstance(m, ConnectedSum):
-        return False
-    if isinstance(m, SeifertOverS2):
-        exc = tuple(f for f in m.fibers if f[0] >= 2)
-        b = sum(beta for alpha, beta in m.fibers if alpha == 1)
-        if exc == ((2, 1), (2, 1), (2, 1), (2, 1)) and b in (0, -2):
-            return False
-        return True
-    return True
+    """Primeness of a canonical value: every value but a sum is prime."""
+    return not isinstance(canonicalize(m), ConnectedSum)

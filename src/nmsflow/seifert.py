@@ -6,6 +6,15 @@ pair (1, b) is an ordinary fiber carrying the integer term b of the
 fibration.  All arithmetic is exact: Euler numbers are Fraction values and
 everything else is plain int, so results stay reliable at any size.
 
+Sign convention.  Fibers (alpha_i, beta_i), i = 1..r, denote surgery on a
+0-framed unknot along r of its meridians with coefficients alpha_i / beta_i.
+So H1 has generators x_1, ..., x_r, h and relations
+alpha_i * x_i + beta_i * h = 0 and x_1 + ... + x_r = 0, the Euler number is
+e = sum beta_i / alpha_i, and the H1 order of a rational homology sphere is
+|e| * prod alpha_i.  Reversing the orientation negates every beta.
+lens_parameters and homology.h1_seifert_presentation both use this
+convention.
+
 This module is deliberately free of manifold types; it only manipulates
 fiber data.  The bridge to canonical manifold values (seifert_to_lens and
 friends) lives in manifolds.py.
@@ -13,7 +22,6 @@ friends) lives in manifolds.py.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -94,35 +102,6 @@ def not_lens_obstruction(fibers: Iterable[Sequence[int]]) -> bool:
     return len(exceptional_fibers(fibers)) >= 3
 
 
-def isomorphic(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> bool:
-    """Fiber-preserving isomorphism over the closed base sphere.
-
-    Holds iff there is a bijection of exceptional fibers matching each
-    (alpha, beta) with an (alpha, beta') where beta' = +/-beta (mod alpha),
-    the sign chosen per fiber, and the total Euler numbers agree exactly.
-    Implemented by search over matchings; fiber counts here are tiny.
-    """
-    na, nb = normalize(a), normalize(b)
-    if euler_number(na) != euler_number(nb):
-        return False
-    ea = [f for f in na if f[0] >= 2]
-    eb = [f for f in nb if f[0] >= 2]
-    if len(ea) != len(eb):
-        return False
-    for perm in itertools.permutations(eb):
-        ok = True
-        for (alpha, beta), (alpha2, beta2) in zip(ea, perm):
-            if alpha != alpha2:
-                ok = False
-                break
-            if (beta - beta2) % alpha != 0 and (beta + beta2) % alpha != 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
     """Canonical representative of the isomorphism class of the data.
 
@@ -175,13 +154,15 @@ def lens_parameters(fibers: Iterable[Sequence[int]]) -> tuple[int, int]:
     The integer term (1, b) is first folded into the first exceptional fiber
     as beta1 -> beta1 + b * alpha1; with no exceptional fiber it stands alone
     as (1, b), i.e. the parameters (b, 1) (b = 0 gives (0, 1), the product
-    fibration).  With two exceptional fibers the parameters are
+    fibration).  With two exceptional fibers, in the convention of the
+    module docstring, the parameters are
 
-        p = beta1 * alpha2 - alpha1 * beta2
+        p = beta1 * alpha2 + alpha1 * beta2
         q = beta1 * nu2 + alpha1 * xi2,
 
-    where alpha2 * xi2 + nu2 * beta2 = 1 and nu2 is the (0, alpha2)
-    representative of beta2^-1.  Raises NotALens on >= 3 exceptional fibers.
+    where nu2 is the (0, alpha2) representative of (-beta2)^-1 and
+    alpha2 * xi2 - nu2 * beta2 = 1, so |p| is the order of H1.  Raises
+    NotALens on >= 3 exceptional fibers.
     """
     norm = normalize(fibers)
     b = sum(beta for alpha, beta in norm if alpha == 1)
@@ -196,7 +177,6 @@ def lens_parameters(fibers: Iterable[Sequence[int]]) -> tuple[int, int]:
     if not rest:
         return (b1, a1)
     a2, b2 = rest[0]
-    nu2 = nu_of(a2, b2)
-    xi2 = (1 - nu2 * b2) // a2  # exact: alpha2 | 1 - nu2*beta2
-    return (b1 * a2 - a1 * b2, b1 * nu2 + a1 * xi2)
-
+    nu2 = nu_of(a2, -b2)
+    xi2 = (1 + nu2 * b2) // a2  # exact: alpha2 | 1 + nu2*beta2
+    return (b1 * a2 + a1 * b2, b1 * nu2 + a1 * xi2)

@@ -3,14 +3,19 @@
 Everything here is deliberately written from scratch with different
 algorithms than the package: lens equivalence by quantifier search
 instead of canonical forms, invariant factors of a pair by gcd and lcm
-instead of Smith normal form.  Tests compare the two routes.  The
-cofactor and lattice-count oracle for Smith normal form lives in
-`nmsflow.selfcheck`, whose shipped battery needs it.
+instead of Smith normal form, Seifert isomorphy by a search over fiber
+matchings instead of the isomorphism key, and the lens space of Seifert
+data with two exceptional fibers from a linear plumbing chain instead of
+the closed formula.  Tests compare the two routes.  The cofactor and
+lattice-count oracle for Smith normal form lives in `nmsflow.selfcheck`,
+whose shipped battery needs it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 
 def lens_equivalent_bruteforce(pa, qa, pb, qb) -> bool:
@@ -34,3 +39,60 @@ def invariant_factors_of_pair(a: int, b: int):
     g = math.gcd(a, b)
     l = a * b // g if g else 0
     return tuple(d for d in (g, l) if d >= 2)
+
+
+def seifert_isomorphic_bruteforce(a, b) -> bool:
+    """Fiber-preserving isomorphism of Seifert data over the sphere.
+
+    Holds iff the Euler numbers sum(beta / alpha) agree exactly and some
+    bijection of the exceptional fibers (alpha >= 2) matches each
+    (alpha, beta) with an (alpha, beta') where beta' = +/-beta (mod alpha),
+    the sign chosen per fiber.  Searches all matchings.
+    """
+    if sum(Fraction(y, x) for x, y in a) != sum(Fraction(y, x) for x, y in b):
+        return False
+    ea = [(x, y) for x, y in a if x >= 2]
+    eb = [(x, y) for x, y in b if x >= 2]
+    if len(ea) != len(eb):
+        return False
+    return any(all(x == x2 and ((y - y2) % x == 0 or (y + y2) % x == 0)
+                   for (x, y), (x2, y2) in zip(ea, perm))
+               for perm in itertools.permutations(eb))
+
+
+def _continued_fraction(a: int, b: int) -> list[int]:
+    # integers x_1, ..., x_k with a / b = x_1 - 1/(x_2 - 1/(... - 1/x_k))
+    out = []
+    while b:
+        x = -(-a // b)
+        out.append(x)
+        a, b = b, x * b - a
+    return out
+
+
+def _chain_det(weights) -> int:
+    # determinant of the linear plumbing matrix: weights on the diagonal,
+    # 1 beside it (the sign of the off-diagonal entries does not matter)
+    prev, cur = 0, 1
+    for w in weights:
+        prev, cur = cur, w * cur - prev
+    return cur
+
+
+def lens_of_plumbing_chain(fibers):
+    """(p, q) with the Seifert data homeomorphic to L(p, q), at most two
+    exceptional fibers.
+
+    Surgery on a 0-framed unknot U along meridians with coefficients
+    alpha / beta.  A slam dunk moves each ordinary fiber (1, b) into U's
+    framing as -b, and each exceptional meridian unfolds into a chain of
+    integer unknots by a continued fraction.  The result is a linear
+    chain, whose boundary is L(det, det of the chain without its first
+    vertex), up to orientation and reading the chain from the other end.
+    """
+    exc = [(x, y) for x, y in fibers if x >= 2]
+    if len(exc) > 2:
+        raise ValueError("more than two exceptional fibers")
+    arms = [_continued_fraction(x, y) for x, y in exc] + [[], []]
+    chain = arms[0][::-1] + [-sum(y for x, y in fibers if x == 1)] + arms[1]
+    return _chain_det(chain), _chain_det(chain[1:])

@@ -18,21 +18,24 @@ from nmsflow.manifolds import (
     RP3,
     S2xS1,
     Sphere,
-    homeomorphic,
+    homeomorphism_key,
     lens_canonical,
     lens_equivalent,
     seifert_over_s2,
     sum_normalize,
 )
 from nmsflow.selfcheck import (
+    CHECKS,
     check_case7,
     check_framing_involution,
     check_h1_formulas,
+    check_key_h1,
     check_partition,
     check_snf,
     random_fibers,
     run_selfcheck,
 )
+from oracles import seifert_isomorphic_bruteforce
 
 GOLDEN = Path(__file__).parent / "data" / "golden_classify.tsv"
 
@@ -207,7 +210,9 @@ def test_criterion_7_equivalence_laws():
             if not lens_equivalent(a, c):
                 lens_bad += 1
 
-    # seifert_isomorphic: 10^4 random pairs with alpha <= 9
+    # Seifert isomorphy is isomorphism-key equality: 10^4 random pairs with
+    # alpha <= 9, each verdict checked against the matching-search oracle,
+    # and the oracle's own laws
     rng2 = random.Random(9157)
     seif_bad = 0
     seif_triples = 0
@@ -217,29 +222,28 @@ def test_criterion_7_equivalence_laws():
             b = random_fibers(rng2)
         else:
             b = _isomorphic_variant(rng2, a)
-        if not seifert.isomorphic(a, a):
-            seif_bad += 1
-        if seifert.isomorphic(a, b) != seifert.isomorphic(b, a):
-            seif_bad += 1
         c = _isomorphic_variant(rng2, b)
-        if not seifert.isomorphic(b, c):
+        ka, kb, kc = (seifert.isomorphism_key(x) for x in (a, b, c))
+        ab = seifert_isomorphic_bruteforce(a, b)
+        if not seifert_isomorphic_bruteforce(a, a):
             seif_bad += 1
-        if seifert.isomorphic(a, b):
+        if ab != seifert_isomorphic_bruteforce(b, a) or (ka == kb) != ab:
+            seif_bad += 1
+        if kb != kc or not seifert_isomorphic_bruteforce(b, c):
+            seif_bad += 1
+        if ab:
             seif_triples += 1
-            if not seifert.isomorphic(a, c):
+            if ka != kc or not seifert_isomorphic_bruteforce(a, c):
                 seif_bad += 1
 
-    # homeomorphic: all distinct classifier outputs at bound <= 8
-    values = []
-    seen = set()
-    for inv in valid_invariants(8):
-        m = classify(inv).manifold
-        if m not in seen:
-            seen.add(m)
-            values.append(m)
+    # homeomorphic is key equality: one key per distinct classifier output
+    # at bound <= 8, the laws on the key-equality matrix, and idempotence
+    values = list(dict.fromkeys(classify(inv).manifold
+                                for inv in valid_invariants(8)))
+    keys = [homeomorphism_key(m) for m in values]
     n = len(values)
-    matrix = [[homeomorphic(a, b) for b in values] for a in values]
-    homeo_bad = 0
+    matrix = [[ka == kb for kb in keys] for ka in keys]
+    homeo_bad = sum(1 for k in keys if homeomorphism_key(k) != k)
     for i in range(n):
         if not matrix[i][i]:
             homeo_bad += 1
@@ -252,13 +256,13 @@ def test_criterion_7_equivalence_laws():
             if {k for k in range(n) if matrix[j][k]} != related:
                 homeo_bad += 1
     elapsed = time.monotonic() - t0
-    ok = lens_bad == 0 and seif_bad == 0 and homeo_bad == 0
+    ok = lens_bad == 0 and seif_bad == 0 and homeo_bad == 0 and elapsed < 10.0
     _report(7, "equivalence laws", ok,
             f"lens: {len(params)} params, {lens_pairs} pairs + 20000 sampled "
             f"law triples ({lens_triples} with premises), {lens_bad} bad; "
             f"seifert: 10000 pairs ({seif_triples} transitive premises), "
             f"{seif_bad} bad; homeomorphic: {n} distinct bound-8 outputs, "
-            f"{homeo_bad} bad; {elapsed:.1f}s")
+            f"{homeo_bad} bad; {elapsed:.1f}s (budget 10s)")
 
 
 def test_criterion_8_case7_obstructions():
@@ -288,10 +292,17 @@ def test_criterion_9_selfcheck():
     rc = run_selfcheck(6, write=lines.append)
     elapsed = time.monotonic() - t0
     fails = [ln for ln in lines if ln.startswith("FAIL")]
-    diags = {ln.split()[1] for ln in lines if ln.startswith("DIAG")}
-    wanted = {"case45-vs-fibration", "lens-route-vs-presentation",
-              "four-fiber-exception"}
-    ok = (rc == 0 and not fails and wanted <= diags and elapsed < 60.0)
-    _report(9, "selfcheck diagnostics", ok,
-            f"rc={rc}, {len(fails)} hard failures, diagnostics "
-            f"{sorted(diags)}, {elapsed:.1f}s (budget 60s)")
+    passed = [ln for ln in lines if ln.startswith("PASS")]
+    ok = (rc == 0 and not fails and len(passed) == len(CHECKS)
+          and elapsed < 60.0)
+    _report(9, "selfcheck", ok,
+            f"rc={rc}, {len(passed)} passed, {len(fails)} hard failures, "
+            f"{elapsed:.1f}s (budget 60s)")
+
+
+def test_criterion_10_key_preserves_h1():
+    t0 = time.monotonic()
+    ok, detail = check_key_h1(count=3000, max_len=6)
+    elapsed = time.monotonic() - t0
+    _report(10, "key preserves h1", ok and elapsed < 10.0,
+            f"up to 6 fibers: {detail}, {elapsed:.1f}s (budget 10s)")

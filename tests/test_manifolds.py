@@ -126,13 +126,16 @@ def test_seifert_over_s2_factory():
 def test_seifert_to_lens_frozen():
     assert mf.seifert_to_lens([]) == mf.S2xS1()
     assert mf.seifert_to_lens([(3, 2)]) == mf.RP3()
-    assert mf.seifert_to_lens([(2, 1), (3, 1)]) == mf.Sphere()
+    assert mf.seifert_to_lens([(2, 1), (3, 1)]) == mf.Lens(5, 1)
+    assert mf.seifert_to_lens([(2, 1), (3, -1)]) == mf.Sphere()
     with pytest.raises(seifert.NotALens):
         mf.seifert_to_lens([(2, 1), (3, 1), (5, 2)])
 
 
 def test_homeomorphic_bridges_seifert_and_lens():
-    assert mf.homeomorphic(mf.seifert_over_s2([(2, 1), (3, 1)]), mf.Sphere())
+    assert mf.homeomorphic(mf.seifert_over_s2([(2, 1), (3, -1)]), mf.Sphere())
+    assert mf.homeomorphic(mf.seifert_over_s2([(2, 1), (3, 1)]), mf.Lens(5, 1))
+    assert not mf.homeomorphic(mf.seifert_over_s2([(2, 1), (3, 1)]), mf.Sphere())
     assert mf.homeomorphic(mf.seifert_over_s2([(3, 2)]), mf.RP3())
     three = mf.seifert_over_s2([(2, 1), (3, 1), (5, 2)])
     assert not mf.homeomorphic(three, mf.Lens(31, 5))
@@ -172,10 +175,10 @@ def test_is_prime():
     assert mf.is_prime(mf.Lens(7, 2))
     assert mf.is_prime(mf.seifert_over_s2([(2, 1), (3, 1), (5, 2)]))
     assert not mf.is_prime(mf.sum_normalize([mf.Lens(5, 2), mf.RP3()]))
-    # the four-fiber exception splits as RP3 # RP3
-    assert not mf.is_prime(mf.seifert_over_s2([(2, 1)] * 4))
-    assert not mf.is_prime(mf.seifert_over_s2([(2, 1), (2, 1), (2, -1), (2, -1)]))
-    # near misses stay prime
+    # four (2, 1) fibers over S2 are prime: H1 is Z/2 + Z/2 + Z/8 and, at
+    # Euler number 0, Z + Z/2 + Z/2, never the Z/2 + Z/2 of RP3 # RP3
+    assert mf.is_prime(mf.seifert_over_s2([(2, 1)] * 4))
+    assert mf.is_prime(mf.seifert_over_s2([(2, 1), (2, 1), (2, -1), (2, -1)]))
     assert mf.is_prime(mf.seifert_over_s2([(2, 1)] * 4 + [(1, 1)]))
     assert mf.is_prime(mf.seifert_over_s2([(2, 1)] * 3))
 

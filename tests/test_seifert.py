@@ -5,6 +5,14 @@ import pytest
 
 from nmsflow import seifert
 from nmsflow.selfcheck import random_fibers
+from oracles import lens_of_plumbing_chain, seifert_isomorphic_bruteforce
+
+
+def _isomorphic(a, b) -> bool:
+    """Isomorphy by key equality, asserted to agree with the oracle."""
+    same_key = seifert.isomorphism_key(a) == seifert.isomorphism_key(b)
+    assert same_key == seifert_isomorphic_bruteforce(a, b), (a, b)
+    return same_key
 
 
 def test_check_fibers_accepts_valid_data():
@@ -41,7 +49,7 @@ def test_normalize_shape_and_invariance_seeded():
         n = seifert.normalize(s)
         assert seifert.normalize(n) == n
         assert seifert.euler_number(n) == seifert.euler_number(s)
-        assert seifert.isomorphic(s, n)
+        assert _isomorphic(s, n)
         exc = [f for f in n if f[0] >= 2]
         assert exc == sorted(exc)
         assert all(0 < beta < alpha for alpha, beta in exc)
@@ -72,21 +80,20 @@ def test_not_lens_obstruction():
 
 
 def test_isomorphic_frozen_examples():
-    assert seifert.isomorphic([(2, 1), (3, 1), (5, 1)], [(5, 1), (2, 1), (3, 1)])
-    assert not seifert.isomorphic([(2, 1), (3, 1)], [(2, 1), (3, 2)])
-    assert seifert.isomorphic([(2, 1)], [(1, 1), (2, -1)])
+    assert _isomorphic([(2, 1), (3, 1), (5, 1)], [(5, 1), (2, 1), (3, 1)])
+    assert not _isomorphic([(2, 1), (3, 1)], [(2, 1), (3, 2)])
+    assert _isomorphic([(2, 1)], [(1, 1), (2, -1)])
 
 
 def test_isomorphic_needs_exact_euler_match():
     # matching alpha and beta = -beta' residues, but Euler 5/6 vs -5/6
-    assert not seifert.isomorphic([(2, 1), (3, 1)], [(2, -1), (3, -1)])
+    assert not _isomorphic([(2, 1), (3, 1)], [(2, -1), (3, -1)])
 
 
 def test_isomorphism_key_equates_flip_families():
     a = [(2, 1), (4, 3), (4, 3)]
     b = [(1, 1), (2, 1), (4, 1), (4, 1)]
-    assert seifert.isomorphic(a, b)
-    assert seifert.isomorphism_key(a) == seifert.isomorphism_key(b)
+    assert _isomorphic(a, b)
     assert seifert.normalize(a) != seifert.normalize(b)
 
 
@@ -97,7 +104,7 @@ def test_isomorphism_key_agrees_with_isomorphic_seeded():
     keys = [seifert.isomorphism_key(s) for s in pool]
     for i, a in enumerate(pool):
         for j, b in enumerate(pool):
-            assert (keys[i] == keys[j]) == seifert.isomorphic(a, b)
+            assert (keys[i] == keys[j]) == seifert_isomorphic_bruteforce(a, b)
 
 
 def test_nu_of():
@@ -114,7 +121,8 @@ def test_lens_parameters_frozen():
     assert seifert.lens_parameters([]) == (0, 1)
     assert seifert.lens_parameters([(1, 4)]) == (4, 1)
     assert seifert.lens_parameters([(3, 2)]) == (2, 3)
-    assert seifert.lens_parameters([(2, 1), (3, 1)]) == (1, 1)
+    assert seifert.lens_parameters([(2, 1), (3, 1)]) == (5, 4)
+    assert seifert.lens_parameters([(2, 1), (3, -1)]) == (1, 1)
 
 
 def test_lens_parameters_not_a_lens():
@@ -126,4 +134,24 @@ def test_lens_parameters_folds_integer_term():
     # (1, b) folds into the first exceptional fiber as beta + b*alpha
     assert seifert.lens_parameters([(1, 2), (3, 2)]) == (8, 3)
     p, q = seifert.lens_parameters([(1, 1), (2, 1), (3, 1)])
-    assert p == 3 * (1 + 2) - 2 * 1
+    assert p == 3 * (1 + 2) + 2 * 1
+
+
+def test_lens_parameters_match_plumbing_chain():
+    # L(p, q) = L(p', q') up to orientation iff |p| = |p'| and
+    # q' = +/-q^(+/-1) (mod p)
+    rng = random.Random(4096)
+    checked = 0
+    for _ in range(3000):
+        s = random_fibers(rng, max_len=5, alpha_max=11, beta_max=12)
+        if seifert.not_lens_obstruction(s):
+            continue
+        checked += 1
+        p, q = seifert.lens_parameters(s)
+        pc, qc = lens_of_plumbing_chain(s)
+        assert abs(p) == abs(pc), s
+        n = abs(p)
+        if n >= 2:
+            r = pow(q, -1, n)
+            assert qc % n in {q % n, -q % n, r, n - r}, s
+    assert checked > 1000
