@@ -123,25 +123,20 @@ class ClassificationResult:
     lens_before_rp3_sum: LensParams | None
 
 
-def _beta(l: int, m: int) -> int:
-    # m^-1 in (0, |l|) for |l| >= 2; the representative 0 for |l| = 1.
-    return pow(m, -1, abs(l))
-
-
 def intermediate_seifert(inv: FlowInvariant) -> seifert.SeifertData:
     """Unreduced fiber data (2,1), (|l1|, beta1), (|l2|, beta2).
 
-    beta_i is the representative of m_i^-1 (mod |l_i|) in (0, |l_i|), with 0
-    at multiplicity 1.  Defined only when l1 * l2 != 0; ordinary fibers are
-    kept, nothing is sorted or absorbed.
+    beta_i = seifert.nu_of(|l_i|, m_i), the representative of m_i^-1 (mod
+    |l_i|) in (0, |l_i|), with 0 at multiplicity 1.  Defined only when
+    l1 * l2 != 0; ordinary fibers are kept, nothing is sorted or absorbed.
     """
     if inv.l1 * inv.l2 == 0:
         raise InvalidFlowInvariant(
             f"intermediate fiber data needs l1 * l2 != 0, "
             f"got {inv.quadruple()}", "undefined-intermediate")
     return ((2, 1),
-            (abs(inv.l1), _beta(inv.l1, inv.m1)),
-            (abs(inv.l2), _beta(inv.l2, inv.m2)))
+            (abs(inv.l1), seifert.nu_of(abs(inv.l1), inv.m1)),
+            (abs(inv.l2), seifert.nu_of(abs(inv.l2), inv.m2)))
 
 
 def classify(inv: FlowInvariant) -> ClassificationResult:

@@ -75,7 +75,12 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise ParseError(
+                f"integer of {self.pos - digits} digits is too long",
+                start) from exc
 
     def pair(self) -> tuple[int, int]:
         self.expect("(")
@@ -107,11 +112,7 @@ class _Scanner:
         if self.match("RP3"):
             return RP3()
         if self.match("L"):
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            q = self.integer()
-            self.expect(")")
+            p, q = self.pair()
             try:
                 return lens_canonical(p, q)
             except InvalidLensParameters as exc:

@@ -135,6 +135,10 @@ def lens_canonical(p: int, q: int) -> Manifold:
     The sign of p is dropped, q is replaced by min(q mod p, (p - q) mod p),
     and p in {0, 1, 2} collapses to the atoms S2xS1, Sphere, RP3.  Raises
     InvalidLensParameters on non-coprime input.
+
+    Equality of canonical forms is the orientation-preserving lens
+    classification used throughout: L(p, q) = L(p', q') iff p = +/-p' and
+    q = +/-q' (mod |p|), where mod 0 means exact equality of the q values.
     """
     params = LensParams(p, q)
     p = abs(params.p)
@@ -146,30 +150,6 @@ def lens_canonical(p: int, q: int) -> Manifold:
         return RP3()
     q = params.q % p
     return Lens(p, min(q, p - q))
-
-
-def lens_equivalent(a, b) -> bool:
-    """Orientation-preserving lens classification.
-
-    L(p, q) = L(p', q') iff p = +/-p' and q = +/-q' (mod |p|); mod 0 means
-    exact equality of the q values.
-    """
-    a, b = _lens_params(a), _lens_params(b)
-    if abs(a.p) != abs(b.p):
-        return False
-    n = abs(a.p)
-    if n == 0:
-        return a.q == b.q or a.q == -b.q
-    return (a.q - b.q) % n == 0 or (a.q + b.q) % n == 0
-
-
-def _lens_params(x) -> LensParams:
-    if isinstance(x, LensParams):
-        return x
-    if isinstance(x, Lens):
-        return LensParams(x.p, x.q)
-    p, q = x
-    return LensParams(p, q)
 
 
 def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
@@ -244,7 +224,7 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     """
     m = canonicalize(m)
     if isinstance(m, SeifertOverS2):
-        if sum(1 for a, _ in m.fibers if a >= 2) <= 2:
+        if not seifert.not_lens_obstruction(m.fibers):
             return seifert_to_lens(m.fibers)
         return SeifertOverS2(seifert.isomorphism_key(m.fibers))
     if isinstance(m, ConnectedSum):

@@ -88,18 +88,15 @@ def euler_number(fibers: Iterable[Sequence[int]]) -> Fraction:
                Fraction(0))
 
 
-def exceptional_fibers(fibers: Iterable[Sequence[int]]) -> SeifertData:
-    """The fibers of multiplicity >= 2 in the normal form of the data."""
-    return tuple(f for f in normalize(fibers) if f[0] >= 2)
-
-
 def not_lens_obstruction(fibers: Iterable[Sequence[int]]) -> bool:
     """True when the data has >= 3 exceptional fibers.
 
-    Such a fibration is never a lens space, so this is the obstruction
-    consumed by the lens conversion and by primeness reporting.
+    Such a fibration is never a lens space.  This is the one statement of
+    that rule: lens_parameters and manifolds.homeomorphism_key both ask it.
+    The fibers with alpha >= 2 are counted on the validated data as given;
+    normalize keeps every one of them, so the count needs no normal form.
     """
-    return len(exceptional_fibers(fibers)) >= 3
+    return sum(1 for alpha, _ in check_fibers(fibers) if alpha >= 2) >= 3
 
 
 def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
@@ -165,11 +162,11 @@ def lens_parameters(fibers: Iterable[Sequence[int]]) -> tuple[int, int]:
     NotALens on >= 3 exceptional fibers.
     """
     norm = normalize(fibers)
+    if not_lens_obstruction(norm):
+        raise NotALens(
+            f"{norm}: >= 3 exceptional fibers, the fibration is not a lens space")
     b = sum(beta for alpha, beta in norm if alpha == 1)
     exc = [f for f in norm if f[0] >= 2]
-    if len(exc) >= 3:
-        raise NotALens(
-            f"{len(exc)} exceptional fibers: the fibration is not a lens space")
     if not exc:
         return (b, 1)
     (a1, b1), *rest = exc

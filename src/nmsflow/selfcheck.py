@@ -1,12 +1,14 @@
 """Internal consistency battery behind the `selfcheck` command.
 
 Hard checks cross-validate independent routes to the same answers (case
-partition, homology against the case formulas, equivalence laws, Smith
-normal form against cofactor arithmetic, render/parse round trips).  Each
-is one function in the ordered registry CHECKS, with its sizes and seed as
-keyword arguments; run_selfcheck runs them at their defaults, and the
-acceptance tests call the same functions at larger sizes.  Each returns
-(ok, detail).  Any hard failure makes the run return 3.
+partition, homology against the case formulas and across homeomorphism
+classes, the case-7 obstructions, framing involution, Smith normal form
+against cofactor arithmetic, Seifert normal forms, homology kept by the
+homeomorphism key, render/parse round trips).  Each is one function in
+the ordered registry CHECKS, with its sizes and seed as keyword arguments;
+run_selfcheck runs them at their defaults, and the acceptance tests call
+the same functions at larger sizes.  Each returns (ok, detail).  Any hard
+failure makes the run return 3.
 """
 
 from __future__ import annotations
@@ -21,14 +23,11 @@ from .expressions import parse_manifold
 from .homology import AbelianGroup, h1, h1_seifert_presentation, smith_normal_form
 from .manifolds import (
     Lens,
-    LensParams,
     RP3,
     S2xS1,
     Sphere,
     homeomorphism_key,
     is_prime,
-    lens_canonical,
-    lens_equivalent,
     seifert_over_s2,
 )
 from .surgery import Framing, framing_equivalent, invert_framing, saddle_framing
@@ -225,25 +224,6 @@ def check_snf(*, count=300, max_size=4, seed=_SEED, box_caps=_BOX_CAPS):
             if bad == 0 else f"{bad} violations")
 
 
-def check_lens_predicate(*, limit=12):
-    """lens_equivalent agrees with equality of canonical forms on all
-    admissible parameter pairs with |p|, |q| <= limit."""
-    params = []
-    for p in range(-limit, limit + 1):
-        for q in range(-limit, limit + 1):
-            if (p == 0 and q in (1, -1)) or (p != 0 and math.gcd(p, q) == 1):
-                params.append(LensParams(p, q))
-    canon = {x: lens_canonical(x.p, x.q) for x in params}
-    bad = 0
-    for a in params:
-        for b in params:
-            if lens_equivalent(a, b) != (canon[a] == canon[b]):
-                bad += 1
-    return (bad == 0,
-            f"predicate agrees with canonical forms on {len(params)}^2 pairs"
-            if bad == 0 else f"{bad} disagreements")
-
-
 def random_fibers(rng, max_len=4, alpha_max=9, beta_max=9):
     """Up to max_len valid fiber pairs, alpha in [1, alpha_max] and beta in
     [-beta_max, beta_max]."""
@@ -317,7 +297,6 @@ CHECKS = (
     ("case7-obstructions", check_case7, ("results", "lens_like")),
     ("framing-involution", check_framing_involution, ()),
     ("snf-vs-cofactors", check_snf, ()),
-    ("lens-equivalence", check_lens_predicate, ()),
     ("seifert-normal-forms", check_seifert_forms, ()),
     ("key-preserves-h1", check_key_h1, ()),
     ("render-parse-roundtrip", check_roundtrip, ("groups",)),

@@ -75,6 +75,16 @@ def test_parse_error_positions():
         parse_manifold("L(5,2) # L(0,3)")
 
 
+def test_parse_error_on_integers_past_the_conversion_limit():
+    digits = "7" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_manifold(f"L({digits},1)")
+    assert err.value.position == 2
+    with pytest.raises(ParseError) as err:
+        parse_manifold(f"SFS(S2; (2,1),(3,-{digits}))")
+    assert err.value.position == 17
+
+
 def test_round_trip_on_canonical_values():
     values = [
         Sphere(), S2xS1(), RP3(), Lens(5, 2), Lens(12, 5),

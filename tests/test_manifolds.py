@@ -2,8 +2,6 @@ import math
 
 import pytest
 
-from oracles import lens_equivalent_bruteforce
-
 import nmsflow.manifolds as mf
 from nmsflow import seifert
 
@@ -56,26 +54,17 @@ def test_lens_value_validation():
     assert mf.canonicalize(mf.Lens(2, 1)) == mf.RP3()
 
 
-def test_lens_equivalent_frozen():
-    assert mf.lens_equivalent((7, 2), (7, 5))
-    assert not mf.lens_equivalent((7, 2), (7, 3))
-    assert mf.lens_equivalent((5, 2), (-5, 2))
-    assert mf.lens_equivalent((7, 2), (7, 12))
-    assert not mf.lens_equivalent((5, 2), (7, 2))
-    assert mf.lens_equivalent(mf.Lens(5, 2), mf.LensParams(5, -2))
-    assert mf.lens_equivalent((0, 1), (0, -1))
-    assert mf.lens_equivalent((1, 0), (1, 1))
-
-
-def test_lens_equivalent_matches_bruteforce_and_canonical():
-    params = [(p, q) for p in range(-9, 10) for q in range(-9, 10)
-              if (p == 0 and q in (1, -1)) or (p != 0 and math.gcd(p, q) == 1)]
-    canon = {x: mf.lens_canonical(*x) for x in params}
-    for a in params:
-        for b in params:
-            got = mf.lens_equivalent(a, b)
-            assert got == lens_equivalent_bruteforce(*a, *b)
-            assert got == (canon[a] == canon[b])
+def test_lens_canonical_equality_frozen():
+    # L(p, q) = L(p', q') iff p = +/-p' and q = +/-q' (mod |p|)
+    lc = mf.lens_canonical
+    assert lc(7, 2) == lc(7, 5)
+    assert lc(7, 2) != lc(7, 3)
+    assert lc(5, 2) == lc(-5, 2)
+    assert lc(7, 2) == lc(7, 12)
+    assert lc(5, 2) != lc(7, 2)
+    assert mf.canonicalize(mf.Lens(5, 2)) == lc(5, -2)
+    assert lc(0, 1) == lc(0, -1)
+    assert lc(1, 0) == lc(1, 1)
 
 
 def test_sort_key_total_order():

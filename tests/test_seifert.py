@@ -66,17 +66,18 @@ def test_euler_number_frozen_values():
     assert seifert.euler_number([(5, -2)]) == Fraction(-2, 5)
 
 
-def test_exceptional_fibers():
-    assert seifert.exceptional_fibers([(1, 5), (3, 7), (2, 1)]) == ((2, 1), (3, 1))
-    assert seifert.exceptional_fibers([(1, 4)]) == ()
-
-
 def test_not_lens_obstruction():
     assert seifert.not_lens_obstruction([(2, 1), (3, 1), (5, 2)])
     assert not seifert.not_lens_obstruction([(2, 1), (3, 1)])
     assert not seifert.not_lens_obstruction([])
     # the integer term does not count towards the obstruction
     assert seifert.not_lens_obstruction([(1, 3), (2, 1), (3, 1), (7, 2)])
+    assert not seifert.not_lens_obstruction([(1, 3), (1, -5), (1, 0)])
+    # unnormalized data: betas outside (0, alpha) still count
+    assert seifert.not_lens_obstruction([(2, 3), (3, 4), (5, 7)])
+    assert not seifert.not_lens_obstruction([(2, -3), (7, 16)])
+    with pytest.raises(seifert.InvalidFiber):
+        seifert.not_lens_obstruction([(2, 1), (3, 1), (4, 2)])
 
 
 def test_isomorphic_frozen_examples():
