@@ -73,6 +73,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Entries are nonnegative and satisfy d1 | d2 | ... | dk (trailing zeros
     for the rank deficit).  Only unimodular row and column operations are
     used, so the diagonal generates the same cokernel as the input.
+
+    Pivot rule: position t starts from the least nonzero |entry| of the
+    trailing block, and column t and then row t are swept with that one
+    pivot.  A remainder is never promoted to pivot in the middle of a sweep,
+    because reducing the rest of the sweep by ever smaller remainders is
+    what blows the entries up.  The least remainder left becomes the next
+    pivot; it is smaller than the last, so the block needs no rescan.  Once
+    the cross is clear, a row holding an entry the pivot does not divide is
+    folded into row t, and the sweep repeats.
     """
     a = [[int(v) for v in row] for row in matrix]
     nr = len(a)
@@ -83,77 +92,64 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     k = min(nr, nc)
     diag = [0] * k
     for t in range(k):
-        piv = None
+        least, pi, pj = 0, t, t
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                v = a[i][j]
-                if v != 0 and (piv is None or abs(v) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+                v = abs(row[j])
+                if v and (v < least or not least):
+                    least, pi, pj = v, i, j
+        if not least:
             break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        _clear_cross(a, t, nr, nc)
         while True:
-            # The pivot must divide the trailing block for the chain
-            # condition; folding an offending row back in shrinks the pivot.
-            offender = None
+            a[t], a[pi] = a[pi], a[t]
+            if pj != t:
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
+            top = a[t]
+            p = top[t]
+            least = 0
             for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+                row = a[i]
+                if row[t]:
+                    q = row[t] // p
+                    for j in range(t, nc):
+                        row[j] -= q * top[j]
+                    v = abs(row[t])
+                    if v and (v < least or not least):
+                        least, pi, pj = v, i, t
+            for j in range(t + 1, nc):
+                if top[j]:
+                    q = top[j] // p
+                    for i in range(t, nr):
+                        a[i][j] -= q * a[i][t]
+                    v = abs(top[j])
+                    if v and (v < least or not least):
+                        least, pi, pj = v, t, j
+            if least:
+                continue
+            if p in (1, -1):
                 break
-            for j in range(t, nc):
-                a[t][j] += a[offender][j]
-            _clear_cross(a, t, nr, nc)
+            # Rows below t are zero up to column t, so whole rows are tested.
+            for i in range(t + 1, nr):
+                row = a[i]
+                if any(v % p for v in row):
+                    break
+            else:
+                break
+            for j in range(t + 1, nc):
+                top[j] += row[j]
+            pi = pj = t
         diag[t] = abs(a[t][t])
     return tuple(diag)
 
 
-def _clear_cross(a: list[list[int]], t: int, nr: int, nc: int) -> None:
-    """Zero row t and column t outside the pivot by Euclidean steps."""
-    while True:
-        moved = False
-        for i in range(t + 1, nr):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                for j in range(t, nc):
-                    a[i][j] -= q * a[t][j]
-                if a[i][t]:  # remainder beats the pivot; promote it
-                    a[t], a[i] = a[i], a[t]
-                    moved = True
-        for j in range(t + 1, nc):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                for i in range(t, nr):
-                    a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    for i in range(t, nr):
-                        a[i][t], a[i][j] = a[i][j], a[i][t]
-                    moved = True
-        if not moved:
-            return
-
-
-def cokernel(matrix: Sequence[Sequence[int]],
-             ncols: int | None = None) -> AbelianGroup:
-    """Z^n modulo the row span of an m x n relation matrix."""
-    rows = [list(r) for r in matrix]
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer generator count from no rows")
-        ncols = len(rows[0])
-    if not rows:
-        return AbelianGroup(ncols)
-    diag = smith_normal_form(rows)
-    nonzero = [d for d in diag if d]
-    return AbelianGroup(ncols - len(nonzero),
+def cokernel(matrix: Sequence[Sequence[int]]) -> AbelianGroup:
+    """Z^n modulo the row span of an m x n relation matrix, m >= 1."""
+    if not matrix:
+        raise ValueError("cannot infer generator count from no rows")
+    nonzero = [d for d in smith_normal_form(matrix) if d]
+    return AbelianGroup(len(matrix[0]) - len(nonzero),
                         tuple(d for d in nonzero if d >= 2))
 
 
@@ -184,7 +180,7 @@ def h1(m: Manifold) -> AbelianGroup:
 
     Atoms and lens spaces use their standard groups, Seifert values use the
     relation-matrix presentation, and connected sums renormalize the direct
-    sum through the Smith normal form of the block-diagonal relation matrix.
+    sum as the cokernel of the diagonal matrix of the torsion factors.
     """
     m = canonicalize(m)
     if isinstance(m, Sphere):
@@ -203,8 +199,8 @@ def h1(m: Manifold) -> AbelianGroup:
         factors = [d for g in parts for d in g.torsion]
         if not factors:
             return AbelianGroup(free)
-        rows = [[factors[i] if j == i else 0 for j in range(len(factors))]
-                for i in range(len(factors))]
-        diag = smith_normal_form(rows)
-        return AbelianGroup(free, tuple(d for d in diag if d >= 2))
+        n = len(factors)
+        torsion = cokernel([[d if j == i else 0 for j in range(n)]
+                            for i, d in enumerate(factors)]).torsion
+        return AbelianGroup(free, torsion)
     raise TypeError(f"not a manifold value: {m!r}")

@@ -9,21 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import seifert
+
 
 class InvalidFraming(ValueError):
     """A framing (beta, alpha) that is not coprime."""
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,14 +45,14 @@ def invert_framing(f: Framing) -> Framing:
     """The framing seen from the complementary solid torus.
 
     (beta, alpha) maps to (-beta, xi) where xi * alpha + nu * beta = 1, with
-    xi normalized to the least nonnegative representative mod |beta|.  For
-    beta = 0 coprimality forces alpha = +/-1 and the solution is xi = alpha.
-    Applying the map twice returns a framing equivalent to the original.
+    xi = alpha^-1 (mod |beta|) in [0, |beta|), as seifert.nu_of gives it.
+    For beta = 0 coprimality forces alpha = +/-1 and the solution is
+    xi = alpha.  Applying the map twice returns a framing equivalent to the
+    original.
     """
     if f.beta == 0:
         return Framing(0, f.alpha)
-    _, x, _ = _xgcd(f.alpha, f.beta)  # x*alpha + y*beta = 1
-    return Framing(-f.beta, x % abs(f.beta))
+    return Framing(-f.beta, seifert.nu_of(abs(f.beta), f.alpha))
 
 
 def saddle_framing() -> Framing:

@@ -35,6 +35,7 @@ from nmsflow.selfcheck import (
     run_selfcheck,
 )
 from oracles import lens_equivalent_bruteforce, seifert_isomorphic_bruteforce
+from timelimit import deadline
 
 GOLDEN = Path(__file__).parent / "data" / "golden_classify.tsv"
 
@@ -147,11 +148,12 @@ def test_criterion_5_framing_involution():
 
 def test_criterion_6_snf_oracle():
     t0 = time.monotonic()
-    ok, detail = check_snf(count=10_000, max_size=5, seed=0xC0FFEE,
-                           box_caps={2: 50, 3: 20})
+    with deadline(60.0):
+        ok, detail = check_snf(count=10_000, max_size=6, seed=0xC0FFEE,
+                               box_caps={2: 50, 3: 20})
     elapsed = time.monotonic() - t0
-    _report(6, "snf oracle", ok and elapsed < 60.0,
-            f"up to 5x5: {detail}, {elapsed:.1f}s (budget 60s)")
+    _report(6, "snf oracle", ok,
+            f"up to 6x6: {detail}, {elapsed:.1f}s (budget 60s)")
 
 
 def _isomorphic_variant(rng, s):
