@@ -212,15 +212,24 @@ def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
 
 
 def homeomorphism_key(m: Manifold) -> Manifold:
-    """A homeomorphism invariant: equal keys mean homeomorphic values.
+    """The key behind homeomorphic and enumerate: a value per class.
 
     Seifert values with <= 2 exceptional fibers resolve to their lens form;
-    those with >= 3 keep their fibration but reduce the fibers to the
-    canonical isomorphism-class representative (a fibration with >= 3
-    exceptional fibers is never a lens space, and over the closed base its
-    isomorphism class determines the manifold).  Sums resolve summand-wise.
-    The key is not complete: lens_canonical keeps L(p, q) and L(p, q')
-    with q * q' = +/-1 (mod p) apart, although they are homeomorphic.
+    those with >= 3 keep their fibration but reduce the fibers to
+    seifert.isomorphism_key (a fibration with >= 3 exceptional fibers is
+    never a lens space).  Sums resolve summand-wise.
+
+    Equal keys do not always mean homeomorphic values, nor different keys
+    different manifolds (ROADMAP.md, item 1):
+
+    - False positives: seifert.isomorphism_key also equates fibrations
+      that no homeomorphism relates, e.g. SFS(S2; (3,1),(4,1),(4,1)) and
+      SFS(S2; (1,-1),(3,1),(4,3),(4,3)), whose Casson-Walker invariants
+      are -9/16 and -1/16.
+    - False negatives: orientation is never reversed, so
+      SFS(S2; (2,1),(3,1),(5,1)) and SFS(S2; (2,-1),(3,-1),(5,-1)) get
+      different keys; and lens_canonical keeps L(p, q) and L(p, q') with
+      q * q' = +/-1 (mod p) apart, e.g. L(11,3) and L(11,4).
     """
     m = canonicalize(m)
     if isinstance(m, SeifertOverS2):
@@ -233,7 +242,8 @@ def homeomorphism_key(m: Manifold) -> Manifold:
 
 
 def homeomorphic(a: Manifold, b: Manifold) -> bool:
-    """Whether two canonical values denote the same manifold."""
+    """Whether two canonical values have equal homeomorphism keys; see
+    homeomorphism_key for the pairs where that is not homeomorphy."""
     return homeomorphism_key(a) == homeomorphism_key(b)
 
 

@@ -100,13 +100,18 @@ def not_lens_obstruction(fibers: Iterable[Sequence[int]]) -> bool:
 
 
 def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
-    """Canonical representative of the isomorphism class of the data.
+    """The lexicographically least normal form over a family of flips.
 
-    A sign flip beta -> alpha - beta on a subset S of exceptional fibers is
-    realizable over the closed base iff sum_{i in S} (alpha_i - 2 beta_i) /
-    alpha_i is an integer (the correction lands in the (1, b) term and keeps
-    the Euler number fixed).  The key is the lexicographically least normal
-    form over all realizable flips, so key equality is exactly isomorphy.
+    The family: a sign flip beta -> alpha - beta on a subset S of
+    exceptional fibers such that sum_{i in S} (alpha_i - 2 beta_i) /
+    alpha_i is an integer, the correction landing in the (1, b) term so
+    that the Euler number stays fixed.  Key equality is not isomorphy
+    (ROADMAP.md, item 1).  Some of these flips change the manifold, so
+    (3,1),(4,1),(4,1) and (1,-1),(3,1),(4,3),(4,3) share a key although
+    their Casson-Walker invariants differ.  And no flip reverses the
+    orientation, which negates every beta and e, so (2,1),(3,1),(5,1) and
+    (2,-1),(3,-1),(5,-1) get different keys.  The search visits 2^k
+    subsets of the k exceptional fibers.
     """
     base = normalize(fibers)
     b = sum(beta for alpha, beta in base if alpha == 1)

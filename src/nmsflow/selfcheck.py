@@ -69,10 +69,11 @@ def _fiber_order(fibers) -> int:
 
 def check_h1_formulas(results):
     """h1 of each classifier output against the per-case closed form."""
+    h1_of = {m: h1(m) for m in {r.manifold for r in results}}
     bad = []
     for r in results:
         l1, m1, l2, m2 = r.invariant.quadruple()
-        group = h1(r.manifold)
+        group = h1_of[r.manifold]
         if r.case == 1:
             ok = group == _expected_sum_group(l2)
         elif r.case == 2:
@@ -94,12 +95,21 @@ def check_h1_formulas(results):
             if not bad else f"mismatch at {bad[:3]}")
 
 
+def _values(groups):
+    """The distinct representatives and member values of the groups."""
+    values = {rep for rep, _ in groups}
+    for _, members in groups:
+        values.update(r.manifold for r in members)
+    return values
+
+
 def check_h1_classes(groups):
     """h1 is constant on each homeomorphism class of enumerate_invariants."""
+    h1_of = {m: h1(m) for m in _values(groups)}
     bad = 0
     for rep, members in groups:
-        seen = {h1(rep)}
-        seen.update(h1(r.manifold) for r in members)
+        seen = {h1_of[rep]}
+        seen.update(h1_of[r.manifold] for r in members)
         if len(seen) != 1:
             bad += 1
     return (bad == 0,
@@ -279,9 +289,7 @@ def check_key_h1(*, count=200, max_len=4, seed=_SEED + 2):
 
 def check_roundtrip(groups):
     """Every representative and member value survives render then parse."""
-    values = {rep for rep, _ in groups}
-    for _, members in groups:
-        values.update(r.manifold for r in members)
+    values = _values(groups)
     bad = [m for m in values if parse_manifold(str(m)) != m]
     return (not bad,
             f"{len(values)} distinct values round-trip"

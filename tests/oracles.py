@@ -6,9 +6,10 @@ instead of canonical forms, invariant factors of a pair by gcd and lcm
 instead of Smith normal form, Seifert isomorphy by a search over fiber
 matchings instead of the isomorphism key, and the lens space of Seifert
 data with two exceptional fibers from a linear plumbing chain instead of
-the closed formula.  Tests compare the two routes.  The cofactor and
-lattice-count oracle for Smith normal form lives in `nmsflow.selfcheck`,
-whose shipped battery needs it.
+the closed formula, and enumeration by keying every classified result
+instead of each distinct value once.  Tests compare the two routes.  The
+cofactor and lattice-count oracle for Smith normal form lives in
+`nmsflow.selfcheck`, whose shipped battery needs it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from nmsflow.classifier import classify, valid_invariants
+from nmsflow.manifolds import homeomorphism_key, sort_key
 
 
 def lens_equivalent_bruteforce(pa, qa, pb, qb) -> bool:
@@ -96,3 +100,14 @@ def lens_of_plumbing_chain(fibers):
     arms = [_continued_fraction(x, y) for x, y in exc] + [[], []]
     chain = arms[0][::-1] + [-sum(y for x, y in fibers if x == 1)] + arms[1]
     return _chain_det(chain), _chain_det(chain[1:])
+
+
+def enumerate_bruteforce(bound):
+    """Every admissible quadruple up to `bound`, grouped by homeomorphism
+    key and sorted by representative: each classified result is keyed on
+    its own, with no memo."""
+    groups = {}
+    for inv in valid_invariants(bound):
+        result = classify(inv)
+        groups.setdefault(homeomorphism_key(result.manifold), []).append(result)
+    return sorted(groups.items(), key=lambda kv: sort_key(kv[0]))

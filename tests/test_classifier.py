@@ -24,7 +24,9 @@ from nmsflow.manifolds import (
     SeifertOverS2,
     Sphere,
     homeomorphic,
+    homeomorphism_key,
 )
+from oracles import enumerate_bruteforce
 
 
 def test_kind_of():
@@ -173,6 +175,26 @@ def test_enumerate_invariants_bound_two_frozen():
     for rep, members in groups:
         for res in members:
             assert homeomorphic(res.manifold, rep)
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_enumerate_invariants_matches_bruteforce(bound):
+    assert enumerate_invariants(bound) == enumerate_bruteforce(bound)
+
+
+def test_enumerate_invariants_keys_each_value_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return homeomorphism_key(m)
+
+    monkeypatch.setattr(classifier, "homeomorphism_key", counted)
+    groups = enumerate_invariants(6)
+    values = {r.manifold for _, members in groups for r in members}
+    assert len(values) == 94
+    assert len(calls) == len(values)
+    assert set(calls) == values
 
 
 def test_classify_consistent_with_predicates_small_grid():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from nmsflow.cli import main
+from timelimit import deadline
 
 
 def test_classify_human_output(capsys):
@@ -94,6 +96,16 @@ def test_enumerate_bound_one(capsys):
     assert out == ("S3  h1=0  count=36  e.g. (-1, -1, -1, -1)\n"
                    "RP3  h1=Z/2  count=24  e.g. (-1, -1, 0, -1)\n"
                    "S2xS1 # RP3  h1=Z + Z/2  count=4  e.g. (0, -1, 0, -1)\n")
+
+
+def test_enumerate_bound_ten_output_digest(capsys):
+    # The same sha256 as the benchmark's EnumerateSweep.DIGEST; both change
+    # together once the homeomorphism relation becomes complete (ROADMAP
+    # item 1) and the enumerate classes merge.
+    with deadline(30.0):
+        assert main(["enumerate", "--bound", "10"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "52e8699ebddfa4bc8b26634fdb6412c38ea4dc96b65d414bfb5caa0d2469b1b1"
 
 
 def test_negative_bound_is_a_usage_error(capsys):
