@@ -178,9 +178,58 @@ def classify(inv: FlowInvariant) -> ClassificationResult:
     return ClassificationResult(inv, case, manifold, inter, lens_params)
 
 
+def _unread(l: int, m: int) -> None:
+    return None
+
+
+def _pair(l: int, m: int) -> tuple[int, int]:
+    return (l, m)
+
+
+def _fiber(l: int, m: int) -> tuple[int, int]:
+    return (abs(l), seifert.nu_of(abs(l), m))
+
+
+def _case_reads(case: int):
+    """What the formula of `case` in classify() reads of each side.
+
+    Returns (read1, read2).  read_i maps side i's pair (l, m) to the part
+    of it that the formula reads, so two quadruples in the same case whose
+    sides read equal give the same manifold:
+
+        cases 3 and 6:  nothing on either side;
+        cases 1 and 4:  side 2's pair (l2, m2) itself, nothing of side 1;
+        cases 2 and 5:  side 1's pair (l1, m1) itself, nothing of side 2;
+        case 7:         the intermediate fiber (|l|, nu_of(|l|, m)) of
+                        both sides.
+
+    This is the one statement of that table; enumerate_invariants factors
+    over it, so a change to a case formula above changes it too.
+    """
+    return ((_unread, _pair), (_pair, _unread), (_unread, _unread),
+            (_unread, _pair), (_pair, _unread), (_unread, _unread),
+            (_fiber, _fiber))[case - 1]
+
+
 def classify_quadruple(l1: int, m1: int, l2: int, m2: int) -> ClassificationResult:
     """Validate and classify in one step."""
     return classify(validate_invariant(l1, m1, l2, m2))
+
+
+def _sides(bound: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The admissible (l1, m1) and (l2, m2) pairs with |entries| <= bound,
+    lexicographically: coprime pairs, and the marker (0, 2) on side 1."""
+    rng = range(-bound, bound + 1)
+    first = [(l, m) for l in rng for m in rng
+             if math.gcd(l, m) == 1 or (l, m) == (0, 2)]
+    second = [(l, m) for l in rng for m in rng if math.gcd(l, m) == 1]
+    return first, second
+
+
+def _invariant(side1: tuple[int, int], side2: tuple[int, int]) -> FlowInvariant:
+    kind = (InvariantKind.INESSENTIAL if side1 == (0, 2)
+            else InvariantKind.ESSENTIAL)
+    return FlowInvariant(*side1, *side2, kind)
 
 
 def valid_invariants(bound: int):
@@ -189,36 +238,81 @@ def valid_invariants(bound: int):
     Distinct quadruples are distinct entries even when symmetries of the
     underlying flows identify them.
     """
-    rng = range(-bound, bound + 1)
-    first = [(l, m) for l in rng for m in rng
-             if math.gcd(l, m) == 1 or (l, m) == (0, 2)]
-    second = [(l, m) for l in rng for m in rng if math.gcd(l, m) == 1]
-    for l1, m1 in first:
-        for l2, m2 in second:
-            kind = (InvariantKind.INESSENTIAL if (l1, m1) == (0, 2)
-                    else InvariantKind.ESSENTIAL)
-            yield FlowInvariant(l1, m1, l2, m2, kind)
+    first, second = _sides(bound)
+    for side1 in first:
+        for side2 in second:
+            yield _invariant(side1, side2)
 
 
-def enumerate_invariants(bound: int) -> list[tuple[Manifold, list[ClassificationResult]]]:
-    """Classify every admissible quadruple with |entries| <= bound.
+@dataclass(frozen=True, slots=True)
+class EnumeratedClass:
+    """One homeomorphism class of enumerate_invariants.
 
-    Returns (class representative, members) pairs where the representative
-    is the shared homeomorphism key.  Groups are ordered by the fixed total
-    order on representatives, members in lexicographic input order, so the
-    output is deterministic.
-
-    Every quadruple is classified, but the key is computed once per
-    distinct classified value: far fewer values than quadruples occur (571
-    against 65,792 at bound 10), and the key dominates the cost.  The memo
-    lives for one call only.
+    `representative` is the class's homeomorphism key, `count` the number
+    of admissible quadruples in it, `example` the lexicographically least
+    of them, and `values` the distinct manifolds classify() gives them.
     """
+    representative: Manifold
+    count: int
+    example: tuple[int, int, int, int]
+    values: frozenset[Manifold]
+
+
+def _by_role(side: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
+    # Role min(|l|, 2): 0 for l = 0, 1 for |l| = 1, 2 for |l| >= 2.
+    roles: dict[int, list[tuple[int, int]]] = {}
+    for pair in side:
+        roles.setdefault(min(abs(pair[0]), 2), []).append(pair)
+    return sorted(roles.items())
+
+
+def _buckets(pairs: list[tuple[int, int]], read) -> list[tuple[tuple[int, int], int]]:
+    # (first pair, size) of each bucket of equal reads, in first-pair order.
+    buckets: dict[object, list] = {}
+    for pair in pairs:
+        bucket = buckets.setdefault(read(*pair), [pair, 0])
+        bucket[1] += 1
+    return [tuple(b) for b in buckets.values()]
+
+
+def enumerate_invariants(bound: int) -> list[EnumeratedClass]:
+    """Group the admissible quadruples with |entries| <= bound by
+    homeomorphism class.
+
+    The enumeration is factored over the two sides.  Each side's pairs are
+    split by role: l = 0, |l| = 1 or |l| >= 2.  The two roles alone decide
+    the case, since case_predicates tests nothing else.  Within a role
+    pair, each side's pairs are bucketed by what that case's formula reads
+    of them (_case_reads), and one quadruple per bucket pair is classified:
+    the first pair of each bucket.  It stands for the whole product, so its
+    count is the product of the two bucket sizes, and it is the product's
+    lexicographically least quadruple.  A class sums the counts of its
+    bucket pairs and takes the least of their examples.  At bound 10 that
+    is 1,895 classifications for 65,792 quadruples.
+
+    The homeomorphism key is computed once per distinct classified value,
+    in a memo that lives for one call only.  Classes are ordered by the
+    fixed total order on representatives, so the output is deterministic.
+    """
+    first, second = _sides(bound)
     keys: dict[Manifold, Manifold] = {}
-    groups: dict[Manifold, list[ClassificationResult]] = {}
-    for inv in valid_invariants(bound):
-        result = classify(inv)
-        key = keys.get(result.manifold)
-        if key is None:
-            key = keys[result.manifold] = homeomorphism_key(result.manifold)
-        groups.setdefault(key, []).append(result)
-    return sorted(groups.items(), key=lambda kv: sort_key(kv[0]))
+    counts: dict[Manifold, int] = {}
+    examples: dict[Manifold, tuple[int, int, int, int]] = {}
+    values: dict[Manifold, set[Manifold]] = {}
+    for role1, pairs1 in _by_role(first):
+        for role2, pairs2 in _by_role(second):
+            case = case_predicates(role1, role2).index(True) + 1
+            read1, read2 = _case_reads(case)
+            buckets2 = _buckets(pairs2, read2)
+            for side1, n1 in _buckets(pairs1, read1):
+                for side2, n2 in buckets2:
+                    manifold = classify(_invariant(side1, side2)).manifold
+                    key = keys.get(manifold)
+                    if key is None:
+                        key = keys[manifold] = homeomorphism_key(manifold)
+                    example = side1 + side2
+                    counts[key] = counts.get(key, 0) + n1 * n2
+                    examples[key] = min(examples.get(key, example), example)
+                    values.setdefault(key, set()).add(manifold)
+    return [EnumeratedClass(key, counts[key], examples[key], frozenset(values[key]))
+            for key in sorted(counts, key=sort_key)]

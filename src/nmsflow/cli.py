@@ -131,9 +131,9 @@ def _cmd_h1(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for rep, members in enumerate_invariants(args.bound):
-        example = members[0].invariant.quadruple()
-        print(f"{rep}  h1={h1(rep)}  count={len(members)}  e.g. {example}")
+    for c in enumerate_invariants(args.bound):
+        rep = c.representative
+        print(f"{rep}  h1={h1(rep)}  count={c.count}  e.g. {c.example}")
     return 0
 
 

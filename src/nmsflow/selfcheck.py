@@ -8,7 +8,9 @@ homeomorphism key, render/parse round trips).  Each is one function in
 the ordered registry CHECKS, with its sizes and seed as keyword arguments;
 run_selfcheck runs them at their defaults, and the acceptance tests call
 the same functions at larger sizes.  Each returns (ok, detail).  Any hard
-failure makes the run return 3.
+failure makes the run return 3.  run_selfcheck classifies every admissible
+quadruple once itself for the per-quadruple checks; the checks over
+homeomorphism classes read the factored classes of enumerate_invariants.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ import math
 import random
 
 from . import seifert
-from .classifier import case_predicates, enumerate_invariants
+from .classifier import (
+    case_predicates,
+    classify,
+    enumerate_invariants,
+    valid_invariants,
+)
 from .expressions import parse_manifold
 from .homology import AbelianGroup, h1, h1_seifert_presentation, smith_normal_form
 from .manifolds import (
@@ -96,10 +103,10 @@ def check_h1_formulas(results):
 
 
 def _values(groups):
-    """The distinct representatives and member values of the groups."""
-    values = {rep for rep, _ in groups}
-    for _, members in groups:
-        values.update(r.manifold for r in members)
+    """The distinct representatives and member values of the classes."""
+    values = {c.representative for c in groups}
+    for c in groups:
+        values.update(c.values)
     return values
 
 
@@ -107,9 +114,9 @@ def check_h1_classes(groups):
     """h1 is constant on each homeomorphism class of enumerate_invariants."""
     h1_of = {m: h1(m) for m in _values(groups)}
     bad = 0
-    for rep, members in groups:
-        seen = {h1_of[rep]}
-        seen.update(h1_of[r.manifold] for r in members)
+    for c in groups:
+        seen = {h1_of[c.representative]}
+        seen.update(h1_of[m] for m in c.values)
         if len(seen) != 1:
             bad += 1
     return (bad == 0,
@@ -314,19 +321,20 @@ CHECKS = (
 def run_selfcheck(bound: int, write=print) -> int:
     """Run every registered check at its defaults and the given bound.
 
-    Each admissible quadruple is classified once, by enumerate_invariants;
-    `results` lists them in input order, `groups` by homeomorphism class,
-    and `lens_like` holds the lens-type class representatives.  Returns 0
-    when all hard checks pass, 3 otherwise.
+    Each admissible quadruple is classified once, here: `results` lists
+    them in input order, for the per-quadruple checks.  `groups` holds the
+    factored homeomorphism classes of enumerate_invariants, which
+    classifies one quadruple per side-class pair, and `lens_like` the
+    lens-type class representatives.  Returns 0 when all hard checks pass,
+    3 otherwise.
     """
+    results = [classify(inv) for inv in valid_invariants(bound)]
     groups = enumerate_invariants(bound)
-    results = sorted((r for _, members in groups for r in members),
-                     key=lambda r: r.invariant.quadruple())
     inputs = {
         "results": results,
         "groups": groups,
-        "lens_like": [rep for rep, _ in groups
-                      if isinstance(rep, (Sphere, S2xS1, RP3, Lens))],
+        "lens_like": [c.representative for c in groups
+                      if isinstance(c.representative, (Sphere, S2xS1, RP3, Lens))],
     }
     write(f"selfcheck: bound {bound}, {len(results)} admissible quadruples")
     failures = 0

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from nmsflow import classifier
 from nmsflow.classifier import (
@@ -27,6 +28,7 @@ from nmsflow.manifolds import (
     homeomorphism_key,
 )
 from oracles import enumerate_bruteforce
+from timelimit import deadline
 
 
 def test_kind_of():
@@ -161,7 +163,7 @@ def test_valid_invariants_bound_two():
 
 def test_enumerate_invariants_bound_two_frozen():
     groups = enumerate_invariants(2)
-    table = [(str(rep), len(members)) for rep, members in groups]
+    table = [(str(c.representative), c.count) for c in groups]
     assert table == [
         ("S3", 100),
         ("S2xS1", 40),
@@ -172,14 +174,19 @@ def test_enumerate_invariants_bound_two_frozen():
         ("RP3 # RP3", 20),
     ]
     assert sum(n for _, n in table) == 272
-    for rep, members in groups:
-        for res in members:
-            assert homeomorphic(res.manifold, rep)
+    for c in groups:
+        for value in c.values:
+            assert homeomorphic(value, c.representative)
 
 
 @pytest.mark.parametrize("bound", range(9))
 def test_enumerate_invariants_matches_bruteforce(bound):
-    assert enumerate_invariants(bound) == enumerate_bruteforce(bound)
+    factored = [(c.representative, c.count, c.example, c.values)
+                for c in enumerate_invariants(bound)]
+    brute = [(rep, len(members), members[0].invariant.quadruple(),
+              {r.manifold for r in members})
+             for rep, members in enumerate_bruteforce(bound)]
+    assert factored == brute
 
 
 def test_enumerate_invariants_keys_each_value_once(monkeypatch):
@@ -191,10 +198,77 @@ def test_enumerate_invariants_keys_each_value_once(monkeypatch):
 
     monkeypatch.setattr(classifier, "homeomorphism_key", counted)
     groups = enumerate_invariants(6)
-    values = {r.manifold for _, members in groups for r in members}
+    values = set().union(*(c.values for c in groups))
     assert len(values) == 94
     assert len(calls) == len(values)
     assert set(calls) == values
+
+
+def test_enumerate_invariants_classifies_once_per_side_class_pair(monkeypatch):
+    calls = []
+
+    def counted(inv):
+        calls.append(inv)
+        return classify(inv)
+
+    monkeypatch.setattr(classifier, "classify", counted)
+    groups = enumerate_invariants(6)
+    assert sum(c.count for c in groups) == 9312
+    assert len(calls) == 447
+
+
+def _admissible_side_count(bound, marker):
+    rng = range(-bound, bound + 1)
+    return sum(1 for l in rng for m in rng
+               if math.gcd(l, m) == 1 or (marker and (l, m) == (0, 2)))
+
+
+def test_enumerate_invariants_bound_fifteen_counts():
+    expected = (_admissible_side_count(15, True)
+                * _admissible_side_count(15, False))
+    assert expected == 332352
+    with deadline(10.0):
+        groups = enumerate_invariants(15)
+    assert sum(c.count for c in groups) == expected
+
+
+_BIG = 10**6
+
+
+@st.composite
+def _side(draw, role, marker):
+    """An admissible pair whose l has the role min(|l|, 2)."""
+    if role == 0:
+        return draw(st.sampled_from([(0, -1), (0, 1)] + [(0, 2)] * marker))
+    if role == 1:
+        return (draw(st.sampled_from([-1, 1])), draw(st.integers(-_BIG, _BIG)))
+    l = draw(st.integers(2, _BIG)) * draw(st.sampled_from([-1, 1]))
+    m = draw(st.integers(-_BIG, _BIG))
+    assume(math.gcd(l, m) == 1)
+    return (l, m)
+
+
+@given(st.data())
+def test_classify_reads_only_the_side_classes(data):
+    roles = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    side1 = data.draw(_side(roles[0], True))
+    side2 = data.draw(_side(roles[1], False))
+    result = classify_quadruple(*side1, *side2)
+    # Case 7 reads each side's fiber (|l|, m^-1 mod |l|).  Otherwise the
+    # formula reads side 2 in cases 1 and 4, side 1 in cases 2 and 5, and
+    # neither side in cases 3 and 6; an unread side may be any pair of its role.
+    read = {1: (False, True), 2: (True, False), 4: (False, True),
+            5: (True, False)}.get(result.case, (False, False))
+    moved = []
+    for i, (l, m) in enumerate((side1, side2)):
+        if result.case == 7:
+            t = data.draw(st.integers(-_BIG, _BIG))
+            moved.append((data.draw(st.sampled_from([-l, l])), m + t * abs(l)))
+        elif read[i]:
+            moved.append((l, m))
+        else:
+            moved.append(data.draw(_side(roles[i], i == 0)))
+    assert classify_quadruple(*moved[0], *moved[1]).manifold == result.manifold
 
 
 def test_classify_consistent_with_predicates_small_grid():
