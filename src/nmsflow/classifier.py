@@ -5,7 +5,8 @@ A flow with exactly one twisted saddle orbit is pinned down by a quadruple
 the attracting side.  Both pairs are coprime for essential invariants; the
 marker (l1, m1) = (0, 2) is the single admissible inessential shape.  The
 ambient manifold depends only on the quadruple through the case formulas
-below; classify() evaluates them verbatim over exact integers.
+of the table _CASES; classify() evaluates them verbatim over exact
+integers.
 """
 
 from __future__ import annotations
@@ -59,14 +60,24 @@ class FlowInvariant:
         return (self.l1, self.m1, self.l2, self.m2)
 
 
+_MARKER = (0, 2)
+
+
+def _admissible(l: int, m: int, side: int) -> bool:
+    """The side rule: (l, m) is coprime, or the marker (0, 2) on side 1."""
+    return math.gcd(l, m) == 1 or (side == 1 and (l, m) == _MARKER)
+
+
+def _kind(l1: int, m1: int) -> InvariantKind:
+    # The kind of an admissible quadruple, read off its side 1.
+    return (InvariantKind.INESSENTIAL if (l1, m1) == _MARKER
+            else InvariantKind.ESSENTIAL)
+
+
 def kind_of(l1: int, m1: int, l2: int, m2: int) -> InvariantKind | None:
     """The kind of a quadruple, or None when it is not admissible."""
-    if math.gcd(l2, m2) != 1:
-        return None
-    if (l1, m1) == (0, 2):
-        return InvariantKind.INESSENTIAL
-    if math.gcd(l1, m1) == 1:
-        return InvariantKind.ESSENTIAL
+    if _admissible(l1, m1, 1) and _admissible(l2, m2, 2):
+        return _kind(l1, m1)
     return None
 
 
@@ -75,14 +86,14 @@ def validate_invariant(l1: int, m1: int, l2: int, m2: int) -> FlowInvariant:
 
     Essential: gcd(l1, m1) = 1 and gcd(l2, m2) = 1.  Inessential: (l1, m1)
     is exactly the marker (0, 2) and gcd(l2, m2) = 1.  Anything else raises
-    InvalidFlowInvariant naming the violated rule.
+    InvalidFlowInvariant naming the violated rule, side 2's first.
     """
-    if math.gcd(l2, m2) != 1:
-        raise InvalidFlowInvariant(
-            f"(l2, m2) = ({l2}, {m2}) is not coprime", "non-coprime-pair")
     kind = kind_of(l1, m1, l2, m2)
     if kind is not None:
         return FlowInvariant(l1, m1, l2, m2, kind)
+    if not _admissible(l2, m2, 2):
+        raise InvalidFlowInvariant(
+            f"(l2, m2) = ({l2}, {m2}) is not coprime", "non-coprime-pair")
     if l1 == 0:
         raise InvalidFlowInvariant(
             f"(l1, m1) = (0, {m1}) is neither coprime nor the marker (0, 2)",
@@ -104,6 +115,11 @@ def case_predicates(l1: int, l2: int) -> tuple[bool, ...]:
     )
 
 
+def _case_of(l1: int, l2: int) -> int:
+    # The number of the one case predicate that holds.
+    return case_predicates(l1, l2).index(True) + 1
+
+
 @dataclass(frozen=True, slots=True)
 class ClassificationResult:
     """Outcome of the case analysis for one invariant.
@@ -123,6 +139,46 @@ class ClassificationResult:
     lens_before_rp3_sum: LensParams | None
 
 
+def _unread(l: int, m: int) -> None:
+    return None
+
+
+def _pair(l: int, m: int) -> tuple[int, int]:
+    return (l, m)
+
+
+def _fiber(l: int, m: int) -> tuple[int, int]:
+    # The intermediate fiber of one side: (|l|, m^-1 mod |l|).
+    return (abs(l), seifert.nu_of(abs(l), m))
+
+
+def _three_fibers(f1: tuple[int, int], f2: tuple[int, int]) -> seifert.SeifertData:
+    return ((2, 1), f1, f2)
+
+
+# The seven cases, in case order.  Row k is (read1, read2, formula): read_i
+# maps side i's pair (l, m) to what case k reads of it, and the manifold is
+# formula(read1(l1, m1), read2(l2, m2)).  The formula sees nothing else, so
+# two quadruples of one case whose sides read equal give the same manifold;
+# enumerate_invariants factors over that.
+_CASES = (
+    # 1. l1 = 0, l2 != 0:     L(l2, m2) # RP3
+    (_unread, _pair, lambda _, s2: sum_normalize([lens_canonical(*s2), RP3()])),
+    # 2. l1 != 0, l2 = 0:     L(l1, m1) # RP3
+    (_pair, _unread, lambda s1, _: sum_normalize([lens_canonical(*s1), RP3()])),
+    # 3. l1 = 0, l2 = 0:      S2xS1 # RP3
+    (_unread, _unread, lambda _, __: sum_normalize([S2xS1(), RP3()])),
+    # 4. |l1| = 1, |l2| > 1:  L(2*m2 - l2, m2)
+    (_unread, _pair, lambda _, s2: lens_canonical(2 * s2[1] - s2[0], s2[1])),
+    # 5. |l2| = 1, |l1| > 1:  L(2*m1 - l1, m1)
+    (_pair, _unread, lambda s1, _: lens_canonical(2 * s1[1] - s1[0], s1[1])),
+    # 6. |l1 * l2| = 1:       S3
+    (_unread, _unread, lambda _, __: Sphere()),
+    # 7. |l1| > 1, |l2| > 1:  SFS(S2; (2,1), (|l1|, beta1), (|l2|, beta2))
+    (_fiber, _fiber, lambda f1, f2: seifert_over_s2(_three_fibers(f1, f2))),
+)
+
+
 def intermediate_seifert(inv: FlowInvariant) -> seifert.SeifertData:
     """Unreduced fiber data (2,1), (|l1|, beta1), (|l2|, beta2).
 
@@ -134,81 +190,25 @@ def intermediate_seifert(inv: FlowInvariant) -> seifert.SeifertData:
         raise InvalidFlowInvariant(
             f"intermediate fiber data needs l1 * l2 != 0, "
             f"got {inv.quadruple()}", "undefined-intermediate")
-    return ((2, 1),
-            (abs(inv.l1), seifert.nu_of(abs(inv.l1), inv.m1)),
-            (abs(inv.l2), seifert.nu_of(abs(inv.l2), inv.m2)))
+    return _three_fibers(_fiber(inv.l1, inv.m1), _fiber(inv.l2, inv.m2))
 
 
 def classify(inv: FlowInvariant) -> ClassificationResult:
-    """Evaluate the case formulas on a validated invariant.
+    """Evaluate the case formula of _CASES on a validated invariant.
 
-    1. l1 = 0, l2 != 0:     L(l2, m2) # RP3
-    2. l1 != 0, l2 = 0:     L(l1, m1) # RP3
-    3. l1 = 0, l2 = 0:      S2xS1 # RP3
-    4. |l1| = 1, |l2| > 1:  L(2*m2 - l2, m2)
-    5. |l2| = 1, |l1| > 1:  L(2*m1 - l1, m1)
-    6. |l1 * l2| = 1:       S3
-    7. |l1| > 1, |l2| > 1:  SFS(S2; (2,1), (|l1|, beta1), (|l2|, beta2))
-
-    with beta_i = m_i^-1 in (0, |l_i|).  Lens parameters are canonicalized
-    immediately, so degenerate parameters collapse to their atoms.
+    Lens parameters are canonicalized immediately, so degenerate parameters
+    collapse to their atoms.
     """
     l1, m1, l2, m2 = inv.quadruple()
-    hits = case_predicates(l1, l2)
-    case = hits.index(True) + 1
-    inter = intermediate_seifert(inv) if l1 * l2 != 0 else None
-    lens_params = None
-    if case == 1:
-        lens_params = LensParams(l2, m2)
-        manifold = sum_normalize([lens_canonical(l2, m2), RP3()])
-    elif case == 2:
-        lens_params = LensParams(l1, m1)
-        manifold = sum_normalize([lens_canonical(l1, m1), RP3()])
-    elif case == 3:
-        lens_params = LensParams(l2, m2)  # the formal (0, +/-1) summand
-        manifold = sum_normalize([S2xS1(), RP3()])
-    elif case == 4:
-        manifold = lens_canonical(2 * m2 - l2, m2)
-    elif case == 5:
-        manifold = lens_canonical(2 * m1 - l1, m1)
-    elif case == 6:
-        manifold = Sphere()
-    else:
-        manifold = seifert_over_s2(inter)
+    case = _case_of(l1, l2)
+    read1, read2, formula = _CASES[case - 1]
+    manifold = formula(read1(l1, m1), read2(l2, m2))
+    inter = lens_params = None
+    if l1 * l2 != 0:
+        inter = intermediate_seifert(inv)
+    else:  # cases 1 to 3; in case 3, side 2 is the formal (0, +/-1) summand
+        lens_params = LensParams(l2, m2) if l1 == 0 else LensParams(l1, m1)
     return ClassificationResult(inv, case, manifold, inter, lens_params)
-
-
-def _unread(l: int, m: int) -> None:
-    return None
-
-
-def _pair(l: int, m: int) -> tuple[int, int]:
-    return (l, m)
-
-
-def _fiber(l: int, m: int) -> tuple[int, int]:
-    return (abs(l), seifert.nu_of(abs(l), m))
-
-
-def _case_reads(case: int):
-    """What the formula of `case` in classify() reads of each side.
-
-    Returns (read1, read2).  read_i maps side i's pair (l, m) to the part
-    of it that the formula reads, so two quadruples in the same case whose
-    sides read equal give the same manifold:
-
-        cases 3 and 6:  nothing on either side;
-        cases 1 and 4:  side 2's pair (l2, m2) itself, nothing of side 1;
-        cases 2 and 5:  side 1's pair (l1, m1) itself, nothing of side 2;
-        case 7:         the intermediate fiber (|l|, nu_of(|l|, m)) of
-                        both sides.
-
-    This is the one statement of that table; enumerate_invariants factors
-    over it, so a change to a case formula above changes it too.
-    """
-    return ((_unread, _pair), (_pair, _unread), (_unread, _unread),
-            (_unread, _pair), (_pair, _unread), (_unread, _unread),
-            (_fiber, _fiber))[case - 1]
 
 
 def classify_quadruple(l1: int, m1: int, l2: int, m2: int) -> ClassificationResult:
@@ -218,18 +218,15 @@ def classify_quadruple(l1: int, m1: int, l2: int, m2: int) -> ClassificationResu
 
 def _sides(bound: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The admissible (l1, m1) and (l2, m2) pairs with |entries| <= bound,
-    lexicographically: coprime pairs, and the marker (0, 2) on side 1."""
+    lexicographically."""
     rng = range(-bound, bound + 1)
-    first = [(l, m) for l in rng for m in rng
-             if math.gcd(l, m) == 1 or (l, m) == (0, 2)]
-    second = [(l, m) for l in rng for m in rng if math.gcd(l, m) == 1]
-    return first, second
+    pairs = [(l, m) for l in rng for m in rng]
+    return ([p for p in pairs if _admissible(*p, 1)],
+            [p for p in pairs if _admissible(*p, 2)])
 
 
 def _invariant(side1: tuple[int, int], side2: tuple[int, int]) -> FlowInvariant:
-    kind = (InvariantKind.INESSENTIAL if side1 == (0, 2)
-            else InvariantKind.ESSENTIAL)
-    return FlowInvariant(*side1, *side2, kind)
+    return FlowInvariant(*side1, *side2, _kind(*side1))
 
 
 def valid_invariants(bound: int):
@@ -282,9 +279,9 @@ def enumerate_invariants(bound: int) -> list[EnumeratedClass]:
     The enumeration is factored over the two sides.  Each side's pairs are
     split by role: l = 0, |l| = 1 or |l| >= 2.  The two roles alone decide
     the case, since case_predicates tests nothing else.  Within a role
-    pair, each side's pairs are bucketed by what that case's formula reads
-    of them (_case_reads), and one quadruple per bucket pair is classified:
-    the first pair of each bucket.  It stands for the whole product, so its
+    pair, each side's pairs are bucketed by that case's reads in _CASES,
+    and one quadruple per bucket pair is classified: the first pair of
+    each bucket.  It stands for the whole product, so its
     count is the product of the two bucket sizes, and it is the product's
     lexicographically least quadruple.  A class sums the counts of its
     bucket pairs and takes the least of their examples.  At bound 10 that
@@ -301,8 +298,7 @@ def enumerate_invariants(bound: int) -> list[EnumeratedClass]:
     values: dict[Manifold, set[Manifold]] = {}
     for role1, pairs1 in _by_role(first):
         for role2, pairs2 in _by_role(second):
-            case = case_predicates(role1, role2).index(True) + 1
-            read1, read2 = _case_reads(case)
+            read1, read2, _ = _CASES[_case_of(role1, role2) - 1]
             buckets2 = _buckets(pairs2, read2)
             for side1, n1 in _buckets(pairs1, read1):
                 for side2, n2 in buckets2:

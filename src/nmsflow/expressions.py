@@ -8,6 +8,7 @@ Grammar (whitespace between tokens is ignored):
              | "SFS" "(" "S2" ";" pair ("," pair)* ")"
     pair    := "(" int "," int ")"
     int     := ["-"] digit+
+    digit   := "0" | "1" | ... | "9"          (ASCII only)
 
 Parsing canonicalizes: lens parameters are normalized (collapsing to atoms
 where applicable), fiber data is normalized, sums are flattened, sorted and
@@ -41,6 +42,9 @@ class ParseError(ValueError):
         self.position = position
 
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²" and "٧"
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -71,7 +75,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)

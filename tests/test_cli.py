@@ -110,7 +110,9 @@ def test_enumerate_bound_ten_output_digest(capsys):
 
 def test_negative_bound_is_a_usage_error(capsys):
     for argv in (["enumerate", "--bound", "-3"],
-                 ["selfcheck", "--bound", "-1"]):
+                 ["selfcheck", "--bound", "-1"],
+                 ["enumerate", "--bound", "31"],
+                 ["selfcheck", "--bound", "31"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -1,15 +1,21 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from nmsflow.expressions import ParseError, parse_manifold, render_manifold
 from nmsflow.manifolds import (
     Lens,
+    Manifold,
     RP3,
     S2xS1,
     SeifertOverS2,
     Sphere,
+    lens_canonical,
     seifert_over_s2,
     sum_normalize,
 )
+from timelimit import deadline
 
 
 def test_parse_atoms():
@@ -74,6 +80,13 @@ def test_parse_error_positions():
     with pytest.raises(ParseError):
         parse_manifold("L(5,2) # L(0,3)")
 
+    # Only ASCII digits make an integer: str.isdigit accepts both of these.
+    for text, position in (("L(7,\u00b2)", 4), ("L(\u0667,\u0662)", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_manifold(text)
+        assert err.value.position == position
+        assert str(err.value).startswith("expected an integer")
+
 
 def test_parse_error_on_integers_past_the_conversion_limit():
     digits = "7" * 5000
@@ -101,3 +114,56 @@ def test_round_trip_on_canonical_values():
 def test_render_is_str():
     m = sum_normalize([Lens(5, 2), RP3()])
     assert render_manifold(m) == str(m) == "L(5,2) # RP3"
+
+
+def _coprime_pair(first, second):
+    return st.tuples(first, second).filter(lambda p: math.gcd(*p) == 1)
+
+
+_LENS = _coprime_pair(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).map(
+    lambda p: lens_canonical(*p))
+_SEIFERT = st.lists(_coprime_pair(st.integers(1, 60), st.integers(-10**4, 10**4)),
+                    min_size=1, max_size=6).map(seifert_over_s2)
+_SUMMAND = st.one_of(st.sampled_from([Sphere(), S2xS1(), RP3()]), _LENS, _SEIFERT)
+_SUM = st.lists(_SUMMAND, min_size=1, max_size=6).map(sum_normalize)
+
+
+@given(_SUM)
+def _round_trips(m):
+    assert parse_manifold(render_manifold(m)) == m
+
+
+def test_round_trip_on_generated_canonical_sums():
+    with deadline(30.0):
+        _round_trips()
+
+
+_TOKENS = ["S3", "S2xS1", "RP3", "L", "SFS", "S2", "(", ")", ",", ";", "#",
+           "-", " ", "0", "1", "2", "7", "12", "\u00b2", "\u0667"]
+
+
+def _spliced(args):
+    text, at, insert = args
+    return text[:at] + insert + text[at:]
+
+
+# Free text, token soup, and rendered canonical sums with a short splice.
+_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join),
+    st.tuples(_SUM.map(render_manifold), st.integers(0, 60),
+              st.text(max_size=3)).map(_spliced))
+
+
+@given(_TEXT)
+def _parses_or_raises_parse_error(text):
+    try:
+        m = parse_manifold(text)
+    except ParseError:
+        return
+    assert isinstance(m, Manifold)
+
+
+def test_parse_returns_a_manifold_or_raises_parse_error():
+    with deadline(30.0):
+        _parses_or_raises_parse_error()
