@@ -7,9 +7,10 @@ Subcommands:
   enumerate  group admissible quadruples up to a bound by target manifold
   selfcheck  run the internal consistency battery
 
-`--bound` of enumerate and selfcheck must be an integer from 0 to 30;
-anything else is a usage error.  The cap keeps a run to seconds: the
-output of enumerate grows about as bound^4 (39,178 classes at bound 30).
+`--bound` of enumerate and selfcheck must be an integer from 0 to 30,
+written as an optional "-" and ASCII digits; anything else is a usage
+error.  The cap keeps a run to seconds: the output of enumerate grows
+about as bound^4 (39,178 classes at bound 30).
 
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
@@ -26,7 +27,7 @@ from .classifier import (
     classify_quadruple,
     enumerate_invariants,
 )
-from .expressions import ParseError, parse_manifold
+from .expressions import _DIGITS, ParseError, parse_manifold
 from .homology import h1
 from .manifolds import homeomorphic, is_prime
 from .selfcheck import run_selfcheck
@@ -35,12 +36,16 @@ MAX_BOUND = 30
 
 
 def _bound(text: str) -> int:
-    """argparse type of --bound; a rejected value exits 2 with usage."""
-    try:
-        value = int(text)
-    except ValueError:
+    """argparse type of --bound; a rejected value exits 2 with usage.
+
+    The integer rule is the expression scanner's: an optional "-", then
+    ASCII digits (int() would also take "+2", " 1_0 " and "\u0661").
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or not _DIGITS.issuperset(digits):
         raise argparse.ArgumentTypeError(
-            f"invalid bound {text!r}: not an integer") from None
+            f"invalid bound {text!r}: not an integer")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"invalid bound {value}: must be nonnegative")

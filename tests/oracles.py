@@ -4,12 +4,14 @@ Everything here is deliberately written from scratch with different
 algorithms than the package: lens equivalence by quantifier search
 instead of canonical forms, invariant factors of a pair by gcd and lcm
 instead of Smith normal form, Seifert isomorphy by a search over fiber
-matchings instead of the isomorphism key, and the lens space of Seifert
-data with two exceptional fibers from a linear plumbing chain instead of
-the closed formula, and enumeration by keying every classified result
-instead of each distinct value once.  Tests compare the two routes.  The
-cofactor and lattice-count oracle for Smith normal form lives in
-`nmsflow.selfcheck`, whose shipped battery needs it.
+matchings instead of the isomorphism key, the isomorphism key's flip
+search by a Fraction sum per subset instead of integers in Gray-code
+order, the lens space of Seifert data with two exceptional fibers from
+a linear plumbing chain instead of the closed formula, and enumeration
+by keying every classified result instead of each distinct value once.
+Tests compare the two routes.  The cofactor and lattice-count oracle
+for Smith normal form lives in `nmsflow.selfcheck`, whose shipped
+battery needs it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 from nmsflow.classifier import classify, valid_invariants
 from nmsflow.manifolds import homeomorphism_key, sort_key
+from nmsflow.seifert import normalize
 
 
 def lens_equivalent_bruteforce(pa, qa, pb, qb) -> bool:
@@ -62,6 +65,36 @@ def seifert_isomorphic_bruteforce(a, b) -> bool:
     return any(all(x == x2 and ((y - y2) % x == 0 or (y + y2) % x == 0)
                    for (x, y), (x2, y2) in zip(ea, perm))
                for perm in itertools.permutations(eb))
+
+
+def isomorphism_key_by_fraction_masks(fibers):
+    """seifert.isomorphism_key by its definition: for every mask of the
+    exceptional fibers, flip beta -> alpha - beta on the mask, sum the
+    Fractions (alpha - 2 beta) / alpha and keep the mask when the sum is an
+    integer.  The least normal form over the kept masks."""
+    base = normalize(fibers)
+    b = sum(beta for alpha, beta in base if alpha == 1)
+    exc = [f for f in base if f[0] >= 2]
+    best = base
+    for mask in range(1, 1 << len(exc)):
+        delta = Fraction(0)
+        flipped = []
+        for i, (alpha, beta) in enumerate(exc):
+            if mask >> i & 1:
+                delta += Fraction(alpha - 2 * beta, alpha)
+                flipped.append((alpha, alpha - beta))
+            else:
+                flipped.append((alpha, beta))
+        if delta.denominator != 1:
+            continue
+        nb = b - int(delta)
+        flipped.sort()
+        if nb != 0:
+            flipped.insert(0, (1, nb))
+        candidate = tuple(flipped)
+        if candidate < best:
+            best = candidate
+    return best
 
 
 def _continued_fraction(a: int, b: int) -> list[int]:

@@ -112,7 +112,11 @@ def test_negative_bound_is_a_usage_error(capsys):
     for argv in (["enumerate", "--bound", "-3"],
                  ["selfcheck", "--bound", "-1"],
                  ["enumerate", "--bound", "31"],
-                 ["selfcheck", "--bound", "31"]):
+                 ["selfcheck", "--bound", "31"],
+                 ["enumerate", "--bound", "\u0661"],
+                 ["enumerate", "--bound", "\u0663"],
+                 ["enumerate", "--bound", " 0_1 "],
+                 ["enumerate", "--bound", "+2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

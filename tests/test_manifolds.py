@@ -4,6 +4,8 @@ import pytest
 
 import nmsflow.manifolds as mf
 from nmsflow import seifert
+from nmsflow.expressions import parse_manifold
+from timelimit import deadline
 
 
 def test_lens_canonical_atoms():
@@ -175,3 +177,20 @@ def test_is_prime():
 def test_canonicalize_rejects_non_manifolds():
     with pytest.raises(TypeError):
         mf.canonicalize("L(5,2)")
+
+
+def _sfs(fibers) -> str:
+    return "SFS(S2; " + ",".join(f"({a},{b})" for a, b in fibers) + ")"
+
+
+def test_homeomorphic_twenty_exceptional_fibers_in_seconds():
+    # Each key searches 2^20 flip subsets, about 28 s apiece with a
+    # Fraction sum per subset.  The rewrite shuffles the fibers, moves
+    # alpha from the integer term into one beta and adds (1, 0).
+    fibers = [(alpha, 1) for alpha in range(2, 22)]
+    rewrite = fibers[::-1]
+    rewrite[4] = (rewrite[4][0], rewrite[4][1] + rewrite[4][0])
+    rewrite += [(1, -1), (1, 0)]
+    left, right = parse_manifold(_sfs(fibers)), parse_manifold(_sfs(rewrite))
+    with deadline(5.0):
+        assert mf.homeomorphic(left, right)

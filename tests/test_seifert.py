@@ -1,11 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nmsflow import seifert
 from nmsflow.selfcheck import random_fibers
-from oracles import lens_of_plumbing_chain, seifert_isomorphic_bruteforce
+from oracles import (
+    isomorphism_key_by_fraction_masks,
+    lens_of_plumbing_chain,
+    seifert_isomorphic_bruteforce,
+)
+from timelimit import deadline
 
 
 def _isomorphic(a, b) -> bool:
@@ -106,6 +113,25 @@ def test_isomorphism_key_agrees_with_isomorphic_seeded():
     for i, a in enumerate(pool):
         for j, b in enumerate(pool):
             assert (keys[i] == keys[j]) == seifert_isomorphic_bruteforce(a, b)
+
+
+# 0-10 fibers in any order, ordinary (1, b) ones among them; alphas up to
+# 30 give lcms up to about 10^12.
+_FIBER = st.one_of(
+    st.tuples(st.integers(2, 30), st.integers(-10**3, 10**3)).filter(
+        lambda f: math.gcd(*f) == 1),
+    st.tuples(st.just(1), st.integers(-10**3, 10**3)))
+_FIBERS = st.lists(_FIBER, max_size=10).flatmap(st.permutations)
+
+
+@given(_FIBERS)
+def _key_matches_fraction_masks(fibers):
+    assert seifert.isomorphism_key(fibers) == isomorphism_key_by_fraction_masks(fibers)
+
+
+def test_isomorphism_key_matches_fraction_mask_oracle():
+    with deadline(60.0):
+        _key_matches_fraction_masks()
 
 
 def test_nu_of():
