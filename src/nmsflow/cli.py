@@ -41,7 +41,7 @@ def _bound(text: str) -> int:
     The integer rule is the expression scanner's: an optional "-", then
     ASCII digits (int() would also take "+2", " 1_0 " and "\u0661").
     """
-    digits = text[1:] if text.startswith("-") else text
+    digits = text.removeprefix("-")
     if not digits or not _DIGITS.issuperset(digits):
         raise argparse.ArgumentTypeError(
             f"invalid bound {text!r}: not an integer")

@@ -4,7 +4,6 @@ import pytest
 
 import nmsflow.manifolds as mf
 from nmsflow import seifert
-from nmsflow.expressions import parse_manifold
 from timelimit import deadline
 
 
@@ -179,18 +178,15 @@ def test_canonicalize_rejects_non_manifolds():
         mf.canonicalize("L(5,2)")
 
 
-def _sfs(fibers) -> str:
-    return "SFS(S2; " + ",".join(f"({a},{b})" for a, b in fibers) + ")"
-
-
 def test_homeomorphic_twenty_exceptional_fibers_in_seconds():
-    # Each key searches 2^20 flip subsets, about 28 s apiece with a
-    # Fraction sum per subset.  The rewrite shuffles the fibers, moves
-    # alpha from the integer term into one beta and adds (1, 0).
+    # Each key searches 2^20 flip subsets, which a Fraction sum per subset
+    # (oracles.isomorphism_key_by_fraction_masks) takes tens of seconds
+    # for.  The rewrite shuffles the fibers, shifts one beta by its alpha
+    # with a compensating (1, -1) and adds (1, 0).
     fibers = [(alpha, 1) for alpha in range(2, 22)]
     rewrite = fibers[::-1]
     rewrite[4] = (rewrite[4][0], rewrite[4][1] + rewrite[4][0])
     rewrite += [(1, -1), (1, 0)]
-    left, right = parse_manifold(_sfs(fibers)), parse_manifold(_sfs(rewrite))
+    left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite)
     with deadline(5.0):
         assert mf.homeomorphic(left, right)
