@@ -115,9 +115,20 @@ def case_predicates(l1: int, l2: int) -> tuple[bool, ...]:
     )
 
 
+# The role table: _ROLE_CASES[r1][r2] is the case number for side roles
+# r_i = min(|l_i|, 2), that is l = 0, |l| = 1 or |l| >= 2.  It restates
+# case_predicates, which tests nothing but those roles, as a lookup, and
+# selfcheck's case-partition check compares the two.
+_ROLE_CASES = (
+    (3, 1, 1),
+    (2, 6, 4),
+    (2, 5, 7),
+)
+
+
 def _case_of(l1: int, l2: int) -> int:
-    # The number of the one case predicate that holds.
-    return case_predicates(l1, l2).index(True) + 1
+    # The number of the one case predicate that holds, from the role table.
+    return _ROLE_CASES[min(abs(l1), 2)][min(abs(l2), 2)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,9 +213,12 @@ def classify(inv: FlowInvariant) -> ClassificationResult:
     l1, m1, l2, m2 = inv.quadruple()
     case = _case_of(l1, l2)
     read1, read2, formula = _CASES[case - 1]
-    manifold = formula(read1(l1, m1), read2(l2, m2))
+    s1, s2 = read1(l1, m1), read2(l2, m2)
+    manifold = formula(s1, s2)
     inter = lens_params = None
-    if l1 * l2 != 0:
+    if case == 7:  # the formula read both fibers already
+        inter = _three_fibers(s1, s2)
+    elif l1 * l2 != 0:
         inter = intermediate_seifert(inv)
     else:  # cases 1 to 3; in case 3, side 2 is the formal (0, +/-1) summand
         lens_params = LensParams(l2, m2) if l1 == 0 else LensParams(l1, m1)

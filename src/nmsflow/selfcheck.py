@@ -3,19 +3,19 @@
 Hard checks cross-validate independent routes to the same answers (case
 partition, homology against the case formulas and across homeomorphism
 classes, the case-7 obstructions, framing involution, Smith normal form
-against cofactor arithmetic, Seifert normal forms, homology kept by the
-homeomorphism key, render/parse round trips).  Each is one function in
-the ordered registry CHECKS, with its sizes and seed as keyword arguments;
-run_selfcheck runs them at their defaults, and the acceptance tests call
-the same functions at larger sizes.  Each returns (ok, detail).  Any hard
-failure makes the run return 3.  run_selfcheck classifies every admissible
-quadruple once itself for the per-quadruple checks; the checks over
-homeomorphism classes read the factored classes of enumerate_invariants.
+against cofactor arithmetic and a lattice quotient counted by subgroup
+closure, Seifert normal forms, homology kept by the homeomorphism key,
+render/parse round trips).  Each is one function in the ordered registry
+CHECKS, with its sizes and seed as keyword arguments; run_selfcheck runs
+them at their defaults, and the acceptance tests call the same functions
+at larger sizes.  Each returns (ok, detail).  Any hard failure makes the
+run return 3.  run_selfcheck classifies every admissible quadruple once
+itself for the per-quadruple checks; the checks over homeomorphism
+classes read the factored classes of enumerate_invariants.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -43,7 +43,11 @@ _SEED = 0x3A7D
 
 
 def check_partition(results):
-    """Each quadruple hits exactly one case predicate, the case reported."""
+    """Each quadruple hits exactly one case predicate, the case reported.
+
+    classify reads its case from the role table behind
+    classifier._case_of, so this compares that table with the paper's
+    case_predicates."""
     bad = 0
     for r in results:
         hits = case_predicates(r.invariant.l1, r.invariant.l2)
@@ -77,6 +81,8 @@ def _fiber_order(fibers) -> int:
 def check_h1_formulas(results):
     """h1 of each classifier output against the per-case closed form."""
     h1_of = {m: h1(m) for m in {r.manifold for r in results}}
+    order_of = {m: _fiber_order(m.fibers)
+                for m in {r.manifold for r in results if r.case == 7}}
     bad = []
     for r in results:
         l1, m1, l2, m2 = r.invariant.quadruple()
@@ -94,7 +100,7 @@ def check_h1_formulas(results):
         elif r.case == 6:
             ok = group == AbelianGroup(0)
         else:
-            ok = group.order() == _fiber_order(r.manifold.fibers)
+            ok = group.order() == order_of[r.manifold]
         if not ok:
             bad.append(r.invariant.quadruple())
     return (not bad,
@@ -184,15 +190,22 @@ def _adjugate(m):
 
 
 def _coker_order_box(m, det: int) -> int:
-    # v ~ w in Z^n / rowspan iff v*adj == w*adj (mod det); count the keys
-    # over the box [0, |det|)^n, which surjects onto the quotient.
-    n = len(m)
-    adj = _adjugate(m)
+    # v ~ w in Z^n / rowspan iff v*adj == w*adj (mod det), so the quotient
+    # is the subgroup of (Z/|det|)^n that the rows of adj generate: grow it
+    # breadth-first from 0, adding each row, and count it.
     d = abs(det)
-    seen = set()
-    for v in itertools.product(range(d), repeat=n):
-        seen.add(tuple(sum(v[i] * adj[i][j] for i in range(n)) % d
-                       for j in range(n)))
+    rows = [tuple(x % d for x in row) for row in _adjugate(m)]
+    seen = {(0,) * len(m)}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for v in frontier:
+            for row in rows:
+                w = tuple((a + b) % d for a, b in zip(v, row))
+                if w not in seen:
+                    seen.add(w)
+                    grown.append(w)
+        frontier = grown
     return len(seen)
 
 
@@ -214,7 +227,10 @@ def check_snf(*, count=300, max_size=4, seed=_SEED, box_caps=_BOX_CAPS):
     rows and columns and entries in [-9, 9]: min(rows, cols) diagonal
     entries forming a divisor chain, product |det| for square matrices by
     cofactor expansion, and, for an n x n matrix with 0 < |det| <=
-    box_caps[n], |det| residue classes counted in the lattice quotient."""
+    box_caps[n], |det| elements in the lattice quotient Z^n / rowspan.
+    The quotient is counted by closure, without Smith normal form: it is
+    the subgroup of (Z/|det|)^n generated by the adjugate's rows, grown
+    from 0."""
     rng = random.Random(seed)
     bad = 0
     boxed = 0

@@ -7,11 +7,12 @@ instead of Smith normal form, Seifert isomorphy by a search over fiber
 matchings instead of the isomorphism key, the isomorphism key's flip
 search by a Fraction sum per subset instead of integers in Gray-code
 order, the lens space of Seifert data with two exceptional fibers from
-a linear plumbing chain instead of the closed formula, and enumeration
-by keying every classified result instead of each distinct value once.
-Tests compare the two routes.  The cofactor and lattice-count oracle
-for Smith normal form lives in `nmsflow.selfcheck`, whose shipped
-battery needs it.
+a linear plumbing chain instead of the closed formula, enumeration
+by keying every classified result instead of each distinct value once,
+and the order of a lattice quotient by counting residues over a box
+instead of growing a subgroup.  Tests compare the two routes.  The
+cofactor and lattice-count oracle for Smith normal form lives in
+`nmsflow.selfcheck`, whose shipped battery needs it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from nmsflow.classifier import classify, valid_invariants
 from nmsflow.manifolds import homeomorphism_key, sort_key
 from nmsflow.seifert import normalize
+from nmsflow.selfcheck import _adjugate
 
 
 def lens_equivalent_bruteforce(pa, qa, pb, qb) -> bool:
@@ -144,3 +146,18 @@ def enumerate_bruteforce(bound):
         result = classify(inv)
         groups.setdefault(homeomorphism_key(result.manifold), []).append(result)
     return sorted(groups.items(), key=lambda kv: sort_key(kv[0]))
+
+
+def coker_order_by_box(m, det):
+    """The order of Z^n / rowspan(m) for a square m with det(m) = det != 0.
+
+    v ~ w in the quotient iff v*adj == w*adj (mod det); count the distinct
+    keys over the box [0, |det|)^n, which surjects onto the quotient.  The
+    key of v sums the multiples v_i * adj_i, listed per row first."""
+    d = abs(det)
+    multiples = [[tuple(k * x % d for x in row) for k in range(d)]
+                 for row in _adjugate(m)]
+    seen = set()
+    for parts in itertools.product(*multiples):
+        seen.add(tuple(sum(column) % d for column in zip(*parts)))
+    return len(seen)

@@ -27,6 +27,7 @@ from nmsflow.manifolds import (
     homeomorphic,
     homeomorphism_key,
 )
+from nmsflow.selfcheck import check_partition
 from oracles import enumerate_bruteforce
 from timelimit import deadline
 
@@ -68,6 +69,7 @@ def test_case_predicates_partition_exhaustively():
         for l2 in range(-12, 13):
             hits = case_predicates(l1, l2)
             assert sum(hits) == 1, (l1, l2)
+            assert classifier._case_of(l1, l2) == hits.index(True) + 1, (l1, l2)
 
 
 def test_classify_worked_examples():
@@ -278,6 +280,30 @@ def test_classify_consistent_with_predicates_small_grid():
         assert hits.index(True) + 1 == res.case
         revalidated = validate_invariant(*inv.quadruple())
         assert revalidated == inv
+
+
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+def test_case_of_role_table_matches_predicates(l1, l2):
+    assert classifier._case_of(l1, l2) == case_predicates(l1, l2).index(True) + 1
+
+
+def test_check_partition_catches_a_wrong_role_table(monkeypatch):
+    assert check_partition([classify(inv) for inv in valid_invariants(3)])[0]
+    table = [list(row) for row in classifier._ROLE_CASES]
+    table[2][2] = 5  # |l1|, |l2| >= 2 is case 7, not 5
+    monkeypatch.setattr(classifier, "_ROLE_CASES", tuple(map(tuple, table)))
+    ok, detail = check_partition([classify(inv) for inv in valid_invariants(3)])
+    assert not ok
+    assert detail.endswith("quadruples hit != 1 case")
+
+
+def test_classify_intermediate_seifert_is_the_shared_read():
+    for inv in valid_invariants(6):
+        inter = classify(inv).intermediate_seifert
+        if inv.l1 * inv.l2 != 0:
+            assert inter == intermediate_seifert(inv), inv
+        else:
+            assert inter is None, inv
 
 
 def test_flow_invariant_is_frozen():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from nmsflow.cli import main
+from nmsflow.cli import _build_parser, main
 from timelimit import deadline
 
 
@@ -113,6 +113,7 @@ def test_negative_bound_is_a_usage_error(capsys):
                  ["selfcheck", "--bound", "-1"],
                  ["enumerate", "--bound", "31"],
                  ["selfcheck", "--bound", "31"],
+                 ["selfcheck", "--bound", "16"],
                  ["enumerate", "--bound", "\u0661"],
                  ["enumerate", "--bound", "\u0663"],
                  ["enumerate", "--bound", " 0_1 "],
@@ -123,6 +124,20 @@ def test_negative_bound_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid bound" in captured.err
+
+
+def test_bound_caps():
+    parser = _build_parser()
+    assert parser.parse_args(["enumerate", "--bound", "30"]).bound == 30
+    assert parser.parse_args(["enumerate", "--bound", "16"]).bound == 16
+    assert parser.parse_args(["selfcheck", "--bound", "15"]).bound == 15
+
+
+def test_selfcheck_help_states_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", "--help"])
+    assert exc.value.code == 0
+    assert "at most 15" in " ".join(capsys.readouterr().out.split())
 
 
 def test_selfcheck_command(capsys):

@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import invariant_factors_of_pair
+from oracles import coker_order_by_box, invariant_factors_of_pair
 from timelimit import deadline
 
 from nmsflow import seifert
@@ -24,7 +25,7 @@ from nmsflow.manifolds import (
     seifert_over_s2,
     sum_normalize,
 )
-from nmsflow.selfcheck import check_snf
+from nmsflow.selfcheck import _coker_order_box, _det, check_snf
 
 
 def test_abelian_group_str():
@@ -71,6 +72,26 @@ def test_smith_normal_form_rejects_ragged_rows():
 def test_smith_normal_form_random_vs_cofactors():
     ok, detail = check_snf(count=500, seed=4451)
     assert ok, detail
+
+
+@st.composite
+def _square_matrix(draw):
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(deadline=None)  # the box oracle takes up to 0.25 s on one 3 x 3
+@given(_square_matrix())
+def _closure_count_matches_box(m):
+    det = _det(m)
+    assume(0 < abs(det) <= 50)
+    assert _coker_order_box(m, det) == coker_order_by_box(m, det)
+
+
+def test_lattice_quotient_closure_matches_box_oracle():
+    with deadline(60.0):
+        _closure_count_matches_box()
 
 
 def test_smith_normal_form_does_not_stall():
