@@ -12,7 +12,7 @@ selfcheck one from 0 to 15, written as an optional "-" and ASCII digits;
 anything else is a usage error.  The caps keep a run to seconds: the
 output of enumerate grows about as bound^4 (39,178 classes at bound 30),
 and selfcheck holds one classification result per admissible quadruple
-(332,352 at bound 15, about 7 s and 210 MB).
+(332,352 at bound 15, about 6 s and 213 MB).
 
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.

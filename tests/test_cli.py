@@ -126,14 +126,11 @@ def test_negative_bound_is_a_usage_error(capsys):
         assert "invalid bound" in captured.err
 
 
-def test_bound_caps():
+def test_bound_caps(capsys):
     parser = _build_parser()
     assert parser.parse_args(["enumerate", "--bound", "30"]).bound == 30
     assert parser.parse_args(["enumerate", "--bound", "16"]).bound == 16
     assert parser.parse_args(["selfcheck", "--bound", "15"]).bound == 15
-
-
-def test_selfcheck_help_states_the_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selfcheck", "--help"])
     assert exc.value.code == 0
