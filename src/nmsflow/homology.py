@@ -1,4 +1,4 @@
-"""First homology through integer Smith normal form.
+"""First homology: Smith normal form of relation matrices, gcd and lcm for sums.
 
 This module is the independent cross-check of the classification: it never
 calls the classifier, and the Seifert H1 comes from an explicit relation
@@ -8,6 +8,7 @@ Python's arbitrary-precision ints; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -163,7 +164,11 @@ def h1_seifert_presentation(fibers: Iterable[Sequence[int]]) -> AbelianGroup:
     integer term is treated as the fiber (1, b).  For r = 0 the matrix is
     the 1 x 1 zero matrix and the group is Z.
     """
-    data = seifert.check_fibers(fibers)
+    return _presentation(seifert.check_fibers(fibers))
+
+
+def _presentation(data: seifert.SeifertData) -> AbelianGroup:
+    """h1_seifert_presentation of data that check_fibers has accepted."""
     r = len(data)
     rows = []
     for i, (alpha, beta) in enumerate(data):
@@ -176,13 +181,20 @@ def h1_seifert_presentation(fibers: Iterable[Sequence[int]]) -> AbelianGroup:
 
 
 def h1(m: Manifold) -> AbelianGroup:
-    """First homology of a canonical manifold value.
+    """First homology of a manifold value, canonicalized first.
 
-    Atoms and lens spaces use their standard groups, Seifert values use the
-    relation-matrix presentation, and connected sums renormalize the direct
-    sum as the cokernel of the diagonal matrix of the torsion factors.
+    Atoms and lens spaces use their standard groups, and Seifert values use
+    the relation-matrix presentation.  A connected sum takes the direct sum
+    of its summands' groups: the free ranks add, and the torsion factors
+    d_1, ..., d_k become a divisibility chain by replacing (d_i, d_j) with
+    (gcd, lcm) for each i < j and dropping the 1s.  That is O(k^2) gcds,
+    where a k x k Smith normal form would be O(k^3) row operations.
     """
-    m = canonicalize(m)
+    return _h1(canonicalize(m))
+
+
+def _h1(m: Manifold) -> AbelianGroup:
+    """h1 of a canonical value."""
     if isinstance(m, Sphere):
         return AbelianGroup(0)
     if isinstance(m, S2xS1):
@@ -192,15 +204,16 @@ def h1(m: Manifold) -> AbelianGroup:
     if isinstance(m, Lens):
         return AbelianGroup(0, (m.p,))
     if isinstance(m, SeifertOverS2):
-        return h1_seifert_presentation(m.fibers)
+        return _presentation(m.fibers)  # the constructor has validated them
     if isinstance(m, ConnectedSum):
-        parts = [h1(s) for s in m.summands]
-        free = sum(g.free_rank for g in parts)
-        factors = [d for g in parts for d in g.torsion]
-        if not factors:
-            return AbelianGroup(free)
-        n = len(factors)
-        torsion = cokernel([[d if j == i else 0 for j in range(n)]
-                            for i, d in enumerate(factors)]).torsion
-        return AbelianGroup(free, torsion)
+        parts = [_h1(s) for s in m.summands]
+        d = [f for g in parts for f in g.torsion]
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                if d[i] == 1:
+                    break  # (1, d_j) is already (gcd, lcm)
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+        return AbelianGroup(sum(g.free_rank for g in parts),
+                            tuple(f for f in d if f != 1))
     raise TypeError(f"not a manifold value: {m!r}")

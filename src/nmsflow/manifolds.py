@@ -159,10 +159,12 @@ def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
     the S2xS1 atom (a fibration without exceptional fibers and without an
     integer term), keeping every canonical value renderable.
     """
-    norm = seifert.normalize(fibers)
-    if not norm:
-        return S2xS1()
-    return SeifertOverS2(norm)
+    return _seifert_value(seifert.normalize(fibers))
+
+
+def _seifert_value(norm: seifert.SeifertData) -> Manifold:
+    """The canonical value of normalized fiber data."""
+    return SeifertOverS2(norm) if norm else S2xS1()
 
 
 def seifert_to_lens(fibers: Iterable[Sequence[int]]) -> Manifold:
@@ -179,7 +181,8 @@ def canonicalize(m: Manifold) -> Manifold:
     if isinstance(m, Lens):
         return lens_canonical(m.p, m.q)
     if isinstance(m, SeifertOverS2):
-        return seifert_over_s2(m.fibers)
+        # The constructor has validated the fibers.
+        return _seifert_value(seifert._normal_form(m.fibers))
     if isinstance(m, ConnectedSum):
         return sum_normalize(m.summands)
     if isinstance(m, Manifold):
@@ -194,9 +197,13 @@ def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
     summands are dropped, and the rest is sorted by the fixed total order.
     No summands at all gives Sphere; a single summand is returned bare.
     """
+    return _sum_canonical(canonicalize(s) for s in summands)
+
+
+def _sum_canonical(summands: Iterable[Manifold]) -> Manifold:
+    """sum_normalize of summands that are canonical already."""
     flat: list[Manifold] = []
     for s in summands:
-        s = canonicalize(s)
         if isinstance(s, ConnectedSum):
             flat.extend(s.summands)
         elif isinstance(s, Sphere):
@@ -231,13 +238,17 @@ def homeomorphism_key(m: Manifold) -> Manifold:
       different keys; and lens_canonical keeps L(p, q) and L(p, q') with
       q * q' = +/-1 (mod p) apart, e.g. L(11,3) and L(11,4).
     """
-    m = canonicalize(m)
+    return _key(canonicalize(m))
+
+
+def _key(m: Manifold) -> Manifold:
+    """homeomorphism_key of a canonical value; every key is canonical."""
     if isinstance(m, SeifertOverS2):
-        if not seifert.not_lens_obstruction(m.fibers):
+        if not seifert._not_lens(m.fibers):
             return seifert_to_lens(m.fibers)
         return SeifertOverS2(seifert.isomorphism_key(m.fibers))
     if isinstance(m, ConnectedSum):
-        return sum_normalize(homeomorphism_key(s) for s in m.summands)
+        return _sum_canonical(_key(s) for s in m.summands)
     return m
 
 

@@ -15,6 +15,14 @@ e = sum beta_i / alpha_i, and the H1 order of a rational homology sphere is
 lens_parameters and homology.h1_seifert_presentation both use this
 convention.
 
+Validation.  Fiber data is checked once, where it enters: check_fibers
+runs in the public functions of this module that take raw fiber pairs
+(normalize, euler_number, not_lens_obstruction, isomorphism_key,
+lens_parameters), in homology.h1_seifert_presentation and in the
+SeifertOverS2 constructor.  The private cores _normal_form and _not_lens
+assume valid data; callers that already hold a SeifertOverS2 or a normal
+form call them directly.
+
 This module is deliberately free of manifold types; it only manipulates
 fiber data.  The bridge to canonical manifold values (seifert_to_lens and
 friends) lives in manifolds.py.
@@ -67,9 +75,14 @@ def normalize(fibers: Iterable[Sequence[int]]) -> SeifertData:
     dropped when b = 0, and the pairs are sorted lexicographically (the
     (1, b) term sorts first).  The Euler number is unchanged.
     """
+    return _normal_form(check_fibers(fibers))
+
+
+def _normal_form(data: SeifertData) -> SeifertData:
+    """normalize on data that check_fibers has already accepted."""
     b = 0
     reduced = []
-    for alpha, beta in check_fibers(fibers):
+    for alpha, beta in data:
         if alpha == 1:
             b += beta
         else:
@@ -92,11 +105,17 @@ def not_lens_obstruction(fibers: Iterable[Sequence[int]]) -> bool:
     """True when the data has >= 3 exceptional fibers.
 
     Such a fibration is never a lens space.  This is the one statement of
-    that rule: lens_parameters and manifolds.homeomorphism_key both ask it.
+    that rule: lens_parameters and manifolds.homeomorphism_key both ask its
+    core _not_lens.
     The fibers with alpha >= 2 are counted on the validated data as given;
     normalize keeps every one of them, so the count needs no normal form.
     """
-    return sum(1 for alpha, _ in check_fibers(fibers) if alpha >= 2) >= 3
+    return _not_lens(check_fibers(fibers))
+
+
+def _not_lens(data: SeifertData) -> bool:
+    """not_lens_obstruction on data that check_fibers has already accepted."""
+    return sum(1 for alpha, _ in data if alpha >= 2) >= 3
 
 
 def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
@@ -173,7 +192,7 @@ def lens_parameters(fibers: Iterable[Sequence[int]]) -> tuple[int, int]:
     NotALens on >= 3 exceptional fibers.
     """
     norm = normalize(fibers)
-    if not_lens_obstruction(norm):
+    if _not_lens(norm):
         raise NotALens(
             f"{norm}: >= 3 exceptional fibers, the fibration is not a lens space")
     b = sum(beta for alpha, beta in norm if alpha == 1)
