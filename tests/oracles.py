@@ -2,17 +2,19 @@
 
 Everything here is deliberately written from scratch with different
 algorithms than the package: lens equivalence by quantifier search
-instead of canonical forms, invariant factors of a pair by gcd and lcm
-instead of Smith normal form, Seifert isomorphy by a search over fiber
-matchings instead of the isomorphism key, the isomorphism key's flip
-search by a Fraction sum per subset instead of integers in Gray-code
-order, the lens space of Seifert data with two exceptional fibers from
-a linear plumbing chain instead of the closed formula, enumeration
-by keying every classified result instead of each distinct value once,
-and the order of a lattice quotient by counting residues over a box
-instead of growing a subgroup.  Tests compare the two routes.  The
-cofactor and lattice-count oracle for Smith normal form lives in
-`nmsflow.selfcheck`, whose shipped battery needs it.
+instead of canonical forms, the torsion of a connected sum by the Smith
+normal form of a diagonal matrix instead of pairwise gcd and lcm,
+Seifert isomorphy by a search over fiber matchings instead of the
+isomorphism key, the isomorphism key's flip search by a Fraction sum per
+subset instead of integers in Gray-code order, the lens space of
+Seifert data with two exceptional fibers from a linear plumbing chain
+instead of the closed formula, enumeration by keying every classified
+result instead of each distinct value once, and the order of a lattice
+quotient by counting residues over a box instead of growing a subgroup.
+Tests compare the two routes.  invariant_factors_of_pair uses the
+package's own gcd and lcm rule, so only sum_torsion_by_snf checks h1 of
+a sum independently.  The cofactor and lattice-count oracle for Smith
+normal form lives in `nmsflow.selfcheck`, whose shipped battery needs it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from fractions import Fraction
 
 from nmsflow.classifier import classify, valid_invariants
+from nmsflow.homology import cokernel
 from nmsflow.manifolds import homeomorphism_key, sort_key
 from nmsflow.seifert import normalize
 from nmsflow.selfcheck import _adjugate
@@ -48,6 +51,16 @@ def invariant_factors_of_pair(a: int, b: int):
     g = math.gcd(a, b)
     l = a * b // g if g else 0
     return tuple(d for d in (g, l) if d >= 2)
+
+
+def sum_torsion_by_snf(factors):
+    """Invariant factors of Z/d_1 + ... + Z/d_k (every d_i >= 2): the
+    torsion of the cokernel of the diagonal matrix diag(d_1, ..., d_k)."""
+    n = len(factors)
+    if not n:
+        return ()
+    return cokernel([[d if j == i else 0 for j in range(n)]
+                     for i, d in enumerate(factors)]).torsion
 
 
 def seifert_isomorphic_bruteforce(a, b) -> bool:

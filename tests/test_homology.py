@@ -4,7 +4,11 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import coker_order_by_box, invariant_factors_of_pair
+from oracles import (
+    coker_order_by_box,
+    invariant_factors_of_pair,
+    sum_torsion_by_snf,
+)
 from timelimit import deadline
 
 from nmsflow import seifert
@@ -22,6 +26,7 @@ from nmsflow.manifolds import (
     RP3,
     S2xS1,
     Sphere,
+    lens_canonical,
     seifert_over_s2,
     sum_normalize,
 )
@@ -203,3 +208,50 @@ def test_h1_seifert_values():
     assert h1(m) == AbelianGroup(0, (20,))
     # |1*3*5 + 1*2*5 + 3*2*3| = 43
     assert h1(seifert_over_s2([(2, 1), (3, 1), (5, 3)])).order() == 43
+
+
+# Lens summands draw p from a few values per sum, so p repeats, and the
+# values mix arbitrary p up to 10^6 with prime powers.
+_PRIME_POWERS = sorted(b ** e for b in (2, 3, 5, 7, 11) for e in range(1, 21)
+                       if 3 <= b ** e <= 10 ** 6)
+_LENS_P = st.one_of(st.integers(3, 10 ** 6), st.sampled_from(_PRIME_POWERS))
+_SMALL_FIBER = st.tuples(st.integers(1, 6), st.integers(-6, 6)).filter(
+    lambda f: f[0] == 1 or math.gcd(*f) == 1)
+
+
+def _lens(p):
+    return st.integers(1, p - 1).filter(
+        lambda q: math.gcd(p, q) == 1).map(lambda q: lens_canonical(p, q))
+
+
+@st.composite
+def _summands(draw):
+    ps = draw(st.lists(_LENS_P, min_size=1, max_size=4))
+    summand = st.one_of(
+        st.just(RP3()), st.just(S2xS1()),
+        st.sampled_from(ps).flatmap(_lens),
+        st.lists(_SMALL_FIBER, min_size=1, max_size=3).map(seifert_over_s2))
+    return draw(st.lists(summand, min_size=1, max_size=40))
+
+
+@settings(deadline=None)
+@given(_summands())
+def _sum_h1_matches_snf(summands):
+    parts = [h1(s) for s in summands]
+    torsion = sum_torsion_by_snf([d for g in parts for d in g.torsion])
+    expected = AbelianGroup(sum(g.free_rank for g in parts), torsion)
+    assert h1(sum_normalize(summands)) == expected
+
+
+def test_h1_of_sum_matches_snf_oracle():
+    with deadline(60.0):
+        _sum_h1_matches_snf()
+
+
+def test_h1_of_a_600_summand_lens_sum_in_polynomial_time():
+    # The Smith normal form of the 600 x 600 diagonal matrix takes seconds.
+    text = " # ".join(f"L({p},1)" for p in range(3, 603))
+    with deadline(1.0):
+        group = h1(parse_manifold(text))
+    assert group.free_rank == 0
+    assert group.order() == math.prod(range(3, 603))

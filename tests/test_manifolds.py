@@ -4,6 +4,7 @@ import pytest
 
 import nmsflow.manifolds as mf
 from nmsflow import seifert
+from nmsflow.homology import AbelianGroup, h1
 from timelimit import deadline
 
 
@@ -157,6 +158,15 @@ def test_homeomorphism_key_idempotent():
         k = mf.homeomorphism_key(m)
         assert mf.homeomorphism_key(k) == k
         assert mf.homeomorphic(m, k)
+
+
+def test_hand_built_sum_is_canonicalized():
+    hand = mf.ConnectedSum((mf.Lens(5, 3), mf.SeifertOverS2(((3, 5), (2, 1)))))
+    norm = mf.sum_normalize(hand.summands)
+    assert hand != norm
+    assert mf.homeomorphism_key(hand) == mf.homeomorphism_key(norm)
+    assert mf.homeomorphic(hand, norm)
+    assert h1(hand) == h1(norm) == AbelianGroup(0, (65,))
 
 
 def test_is_prime():

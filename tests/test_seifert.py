@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nmsflow import seifert
+from nmsflow.expressions import parse_manifold
+from nmsflow.homology import h1, h1_seifert_presentation
+from nmsflow.manifolds import SeifertOverS2, homeomorphic, seifert_over_s2
 from nmsflow.selfcheck import random_fibers
 from oracles import (
     isomorphism_key_by_fraction_masks,
@@ -38,6 +41,40 @@ def test_check_fibers_rejects_bad_data():
         seifert.check_fibers([(2,)])
     with pytest.raises(seifert.InvalidFiber):
         seifert.check_fibers([(2.0, 1)])
+
+
+@pytest.mark.parametrize("entry", [
+    seifert.check_fibers, seifert.normalize, seifert.euler_number,
+    seifert.not_lens_obstruction, seifert.isomorphism_key,
+    seifert.lens_parameters, h1_seifert_presentation, SeifertOverS2,
+    seifert_over_s2,
+], ids=lambda f: f.__name__)
+def test_raw_fiber_entry_points_reject_invalid_data(entry):
+    for fibers in ([(2, 1), (4, 2)], [(0, 1)]):
+        with pytest.raises(seifert.InvalidFiber):
+            entry(fibers)
+
+
+def test_fiber_data_validated_once_per_value(monkeypatch):
+    # Per side of homeomorphic: canonicalizing the Seifert summand, the
+    # key's normalize and the key's SeifertOverS2.  In h1: canonicalizing.
+    left = parse_manifold(
+        "SFS(S2; (2,1),(3,1),(5,2),(7,3),(11,4),(13,5)) # L(7,2)")
+    right = parse_manifold(
+        "SFS(S2; (13,5),(2,1),(3,1),(5,2),(7,3),(11,4)) # L(7,3)")
+    check = seifert.check_fibers
+    calls = []
+
+    def counted(fibers):
+        calls.append(fibers)
+        return check(fibers)
+
+    monkeypatch.setattr(seifert, "check_fibers", counted)
+    assert not homeomorphic(left, right)
+    assert len(calls) == 6
+    calls.clear()
+    assert h1(left).order() == 7 * 72377  # |e| * prod(alpha) = 72377
+    assert len(calls) == 1
 
 
 def test_normalize_frozen_values():
