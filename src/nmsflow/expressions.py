@@ -26,7 +26,7 @@ from .manifolds import (
     Sphere,
     lens_canonical,
     seifert_over_s2,
-    _sum_canonical,
+    sum_normalize,
 )
 from .seifert import InvalidFiber
 
@@ -133,7 +133,7 @@ def parse_manifold(text: str) -> Manifold:
             break
         s.expect("#")
         summands.append(s.summand())
-    return _sum_canonical(summands)  # summand() returns canonical values
+    return sum_normalize(summands)
 
 
 def render_manifold(m: Manifold) -> str:

@@ -21,7 +21,6 @@ from .manifolds import (
     S2xS1,
     SeifertOverS2,
     Sphere,
-    canonicalize,
 )
 
 
@@ -181,20 +180,17 @@ def _presentation(data: seifert.SeifertData) -> AbelianGroup:
 
 
 def h1(m: Manifold) -> AbelianGroup:
-    """First homology of a manifold value, canonicalized first.
+    """First homology of a manifold value.
 
     Atoms and lens spaces use their standard groups, and Seifert values use
-    the relation-matrix presentation.  A connected sum takes the direct sum
-    of its summands' groups: the free ranks add, and the torsion factors
-    d_1, ..., d_k become a divisibility chain by replacing (d_i, d_j) with
-    (gcd, lcm) for each i < j and dropping the 1s.  That is O(k^2) gcds,
-    where a k x k Smith normal form would be O(k^3) row operations.
+    the relation-matrix presentation of their stored normal form.  A
+    connected sum takes the direct sum of its summands' groups: the free
+    ranks add, and the torsion factors d_1, ..., d_k become a divisibility
+    chain by replacing (d_i, d_j) with (gcd, lcm) for each i < j and
+    dropping the 1s.  That is O(k^2) gcds, where a k x k Smith normal form
+    would be O(k^3) row operations.  Raises TypeError on anything but a
+    Manifold.
     """
-    return _h1(canonicalize(m))
-
-
-def _h1(m: Manifold) -> AbelianGroup:
-    """h1 of a canonical value."""
     if isinstance(m, Sphere):
         return AbelianGroup(0)
     if isinstance(m, S2xS1):
@@ -206,7 +202,7 @@ def _h1(m: Manifold) -> AbelianGroup:
     if isinstance(m, SeifertOverS2):
         return _presentation(m.fibers)  # the constructor has validated them
     if isinstance(m, ConnectedSum):
-        parts = [_h1(s) for s in m.summands]
+        parts = [h1(s) for s in m.summands]
         d = [f for g in parts for f in g.torsion]
         for i in range(len(d)):
             for j in range(i + 1, len(d)):

@@ -3,10 +3,13 @@
 A canonical manifold is one of the atoms Sphere, S2xS1, RP3, a lens space
 Lens(p, q) with p >= 3, 0 < 2q < p and gcd(p, q) = 1, a Seifert fibration
 SeifertOverS2 with normalized fiber data, or a ConnectedSum of those sorted
-by a fixed total order.  Values produced by this module's
-factories (lens_canonical, seifert_over_s2, sum_normalize) always satisfy
-the canonical-form invariants; stray hand-built values with merely valid
-parameters are re-canonicalized by every operation that cares.
+by a fixed total order.  Every value is canonical by construction: each
+constructor stores the canonical form of its own type and raises when that
+form is of another type.  Lens(2, 1) is RP3, fibers with an empty normal
+form are S2xS1, and a ConnectedSum takes at least two summands, none of
+them S3 or a sum.  The factories lens_canonical, seifert_over_s2 and
+sum_normalize take those inputs, so operations compare values by == and
+never repair them.
 
 The total order on summands is Sphere < S2xS1 < Lens (by p, then q) <
 SeifertOverS2 (lexicographic on fibers) < RP3.  RP3 deliberately sorts last
@@ -71,12 +74,19 @@ class RP3(Manifold):
 
 @dataclass(frozen=True, slots=True)
 class Lens(Manifold):
-    """Lens space L(p, q).  Canonical values have p >= 3, 0 < q, 2q < p."""
+    """Lens space L(p, q), stored as |p| >= 3 and min(q mod p, -q mod p)."""
     p: int
     q: int
 
     def __post_init__(self) -> None:
         LensParams(self.p, self.q)
+        p = abs(self.p)
+        if p <= 2:
+            raise InvalidLensParameters(
+                f"L({self.p},{self.q}) is an atom; use lens_canonical")
+        q = self.q % p
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", min(q, p - q))
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
@@ -84,14 +94,15 @@ class Lens(Manifold):
 
 @dataclass(frozen=True, slots=True)
 class SeifertOverS2(Manifold):
-    """Seifert fibration over the sphere; canonical fibers are normalized."""
+    """Seifert fibration over the sphere, stored as seifert.normalize(fibers)."""
     fibers: seifert.SeifertData
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fibers", seifert.check_fibers(self.fibers))
-        if not self.fibers:
+        fibers = seifert.normalize(self.fibers)
+        if not fibers:
             raise seifert.InvalidFiber(
-                "empty fiber data denotes S2xS1; use the atom")
+                "an empty normal form denotes S2xS1; use seifert_over_s2")
+        object.__setattr__(self, "fibers", fibers)
 
     def __str__(self) -> str:
         body = ",".join(f"({a},{b})" for a, b in self.fibers)
@@ -100,16 +111,19 @@ class SeifertOverS2(Manifold):
 
 @dataclass(frozen=True, slots=True)
 class ConnectedSum(Manifold):
-    """Connected sum; canonical values are flat, Sphere-free, and sorted."""
+    """Connected sum of >= 2 summands, none S3 or a sum, stored sorted."""
     summands: tuple[Manifold, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "summands", tuple(self.summands))
-        if len(self.summands) < 2:
+        summands = tuple(self.summands)
+        if len(summands) < 2:
             raise ValueError("a connected sum needs at least 2 summands")
-        for s in self.summands:
+        for s in summands:
             if not isinstance(s, Manifold):
                 raise TypeError(f"not a manifold value: {s!r}")
+            if isinstance(s, (Sphere, ConnectedSum)):
+                raise ValueError(f"summand {s} is S3 or a sum; use sum_normalize")
+        object.__setattr__(self, "summands", tuple(sorted(summands, key=sort_key)))
 
     def __str__(self) -> str:
         return " # ".join(str(s) for s in self.summands)
@@ -140,16 +154,10 @@ def lens_canonical(p: int, q: int) -> Manifold:
     classification used throughout: L(p, q) = L(p', q') iff p = +/-p' and
     q = +/-q' (mod |p|), where mod 0 means exact equality of the q values.
     """
-    params = LensParams(p, q)
-    p = abs(params.p)
-    if p == 0:
-        return S2xS1()
-    if p == 1:
-        return Sphere()
-    if p == 2:
-        return RP3()
-    q = params.q % p
-    return Lens(p, min(q, p - q))
+    if abs(p) > 2:
+        return Lens(p, q)
+    LensParams(p, q)
+    return (S2xS1, Sphere, RP3)[abs(p)]()
 
 
 def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
@@ -159,12 +167,12 @@ def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
     the S2xS1 atom (a fibration without exceptional fibers and without an
     integer term), keeping every canonical value renderable.
     """
-    return _seifert_value(seifert.normalize(fibers))
-
-
-def _seifert_value(norm: seifert.SeifertData) -> Manifold:
-    """The canonical value of normalized fiber data."""
-    return SeifertOverS2(norm) if norm else S2xS1()
+    fibers = tuple(fibers)
+    try:
+        return SeifertOverS2(fibers)
+    except seifert.InvalidFiber:
+        seifert.normalize(fibers)  # raises again if the data is invalid
+        return S2xS1()
 
 
 def seifert_to_lens(fibers: Iterable[Sequence[int]]) -> Manifold:
@@ -176,41 +184,24 @@ def seifert_to_lens(fibers: Iterable[Sequence[int]]) -> Manifold:
     return lens_canonical(p, q)
 
 
-def canonicalize(m: Manifold) -> Manifold:
-    """Idempotent re-canonicalization; identity on canonical values."""
-    if isinstance(m, Lens):
-        return lens_canonical(m.p, m.q)
-    if isinstance(m, SeifertOverS2):
-        # The constructor has validated the fibers.
-        return _seifert_value(seifert._normal_form(m.fibers))
-    if isinstance(m, ConnectedSum):
-        return sum_normalize(m.summands)
-    if isinstance(m, Manifold):
-        return m
-    raise TypeError(f"not a manifold value: {m!r}")
-
-
 def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
     """Canonical connected sum of the given summands.
 
-    Summands are re-canonicalized, nested sums are flattened, Sphere
-    summands are dropped, and the rest is sorted by the fixed total order.
-    No summands at all gives Sphere; a single summand is returned bare.
+    Nested sums are flattened and Sphere summands are dropped; the
+    ConnectedSum constructor sorts the rest.  No summands at all gives
+    Sphere; a single summand is returned bare.  Raises TypeError on a
+    summand that is not a Manifold.
     """
-    return _sum_canonical(canonicalize(s) for s in summands)
-
-
-def _sum_canonical(summands: Iterable[Manifold]) -> Manifold:
-    """sum_normalize of summands that are canonical already."""
     flat: list[Manifold] = []
     for s in summands:
         if isinstance(s, ConnectedSum):
             flat.extend(s.summands)
         elif isinstance(s, Sphere):
             continue
-        else:
+        elif isinstance(s, Manifold):
             flat.append(s)
-    flat.sort(key=sort_key)
+        else:
+            raise TypeError(f"not a manifold value: {s!r}")
     if not flat:
         return Sphere()
     if len(flat) == 1:
@@ -224,7 +215,8 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     Seifert values with <= 2 exceptional fibers resolve to their lens form;
     those with >= 3 keep their fibration but reduce the fibers to
     seifert.isomorphism_key (a fibration with >= 3 exceptional fibers is
-    never a lens space).  Sums resolve summand-wise.
+    never a lens space).  Sums resolve summand-wise.  Raises TypeError on
+    anything but a Manifold.
 
     Equal keys do not always mean homeomorphic values, nor different keys
     different manifolds (ROADMAP.md, item 1):
@@ -238,26 +230,25 @@ def homeomorphism_key(m: Manifold) -> Manifold:
       different keys; and lens_canonical keeps L(p, q) and L(p, q') with
       q * q' = +/-1 (mod p) apart, e.g. L(11,3) and L(11,4).
     """
-    return _key(canonicalize(m))
-
-
-def _key(m: Manifold) -> Manifold:
-    """homeomorphism_key of a canonical value; every key is canonical."""
     if isinstance(m, SeifertOverS2):
         if not seifert._not_lens(m.fibers):
             return seifert_to_lens(m.fibers)
         return SeifertOverS2(seifert.isomorphism_key(m.fibers))
     if isinstance(m, ConnectedSum):
-        return _sum_canonical(_key(s) for s in m.summands)
-    return m
+        return sum_normalize([homeomorphism_key(s) for s in m.summands])
+    if isinstance(m, Manifold):
+        return m
+    raise TypeError(f"not a manifold value: {m!r}")
 
 
 def homeomorphic(a: Manifold, b: Manifold) -> bool:
-    """Whether two canonical values have equal homeomorphism keys; see
+    """Whether two values have equal homeomorphism keys; see
     homeomorphism_key for the pairs where that is not homeomorphy."""
     return homeomorphism_key(a) == homeomorphism_key(b)
 
 
 def is_prime(m: Manifold) -> bool:
-    """Primeness of a canonical value: every value but a sum is prime."""
-    return not isinstance(canonicalize(m), ConnectedSum)
+    """Primeness of a value: every value but a sum is prime."""
+    if not isinstance(m, Manifold):
+        raise TypeError(f"not a manifold value: {m!r}")
+    return not isinstance(m, ConnectedSum)

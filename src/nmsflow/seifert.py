@@ -18,10 +18,11 @@ convention.
 Validation.  Fiber data is checked once, where it enters: check_fibers
 runs in the public functions of this module that take raw fiber pairs
 (normalize, euler_number, not_lens_obstruction, isomorphism_key,
-lens_parameters), in homology.h1_seifert_presentation and in the
-SeifertOverS2 constructor.  The private cores _normal_form and _not_lens
-assume valid data; callers that already hold a SeifertOverS2 or a normal
-form call them directly.
+lens_parameters) and in homology.h1_seifert_presentation.  The
+SeifertOverS2 constructor stores normalize(fibers), so the fibers of a
+value are a validated normal form, and its readers (the homeomorphism key,
+homology.h1) call the unvalidated cores _not_lens and
+homology._presentation on them.
 
 This module is deliberately free of manifold types; it only manipulates
 fiber data.  The bridge to canonical manifold values (seifert_to_lens and
@@ -75,14 +76,9 @@ def normalize(fibers: Iterable[Sequence[int]]) -> SeifertData:
     dropped when b = 0, and the pairs are sorted lexicographically (the
     (1, b) term sorts first).  The Euler number is unchanged.
     """
-    return _normal_form(check_fibers(fibers))
-
-
-def _normal_form(data: SeifertData) -> SeifertData:
-    """normalize on data that check_fibers has already accepted."""
     b = 0
     reduced = []
-    for alpha, beta in data:
+    for alpha, beta in check_fibers(fibers):
         if alpha == 1:
             b += beta
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -130,6 +131,7 @@ _SUM = st.lists(_SUMMAND, min_size=1, max_size=6).map(sum_normalize)
 
 @given(_SUM)
 def _round_trips(m):
+    assert dataclasses.replace(m) == m  # a fixed point of its constructor
     assert parse_manifold(render_manifold(m)) == m
 
 

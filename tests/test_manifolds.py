@@ -36,8 +36,8 @@ def test_lens_canonical_range_invariant():
             if isinstance(m, mf.Lens):
                 assert m.p >= 3 and 0 < 2 * m.q < m.p
                 assert math.gcd(m.p, m.q) == 1
-            # canonicalization is idempotent
-            assert mf.canonicalize(m) == m
+                # the constructor is idempotent on canonical values
+                assert mf.Lens(m.p, m.q) == m
 
 
 def test_lens_canonical_rejects():
@@ -51,9 +51,11 @@ def test_lens_value_validation():
         mf.Lens(4, 2)
     with pytest.raises(mf.InvalidLensParameters):
         mf.LensParams(0, 2)
-    # merely-valid parameters are allowed and fixed by canonicalize
-    assert mf.canonicalize(mf.Lens(5, 3)) == mf.Lens(5, 2)
-    assert mf.canonicalize(mf.Lens(2, 1)) == mf.RP3()
+    # the constructor stores the canonical form; atoms need lens_canonical
+    assert mf.Lens(5, 3) == mf.Lens(5, 2)
+    with pytest.raises(mf.InvalidLensParameters):
+        mf.Lens(2, 1)
+    assert mf.lens_canonical(2, 1) == mf.RP3()
 
 
 def test_lens_canonical_equality_frozen():
@@ -64,7 +66,8 @@ def test_lens_canonical_equality_frozen():
     assert lc(5, 2) == lc(-5, 2)
     assert lc(7, 2) == lc(7, 12)
     assert lc(5, 2) != lc(7, 2)
-    assert mf.canonicalize(mf.Lens(5, 2)) == lc(5, -2)
+    m = lc(5, -2)
+    assert mf.Lens(m.p, m.q) == m == mf.Lens(5, 2)
     assert lc(0, 1) == lc(0, -1)
     assert lc(1, 0) == lc(1, 1)
 
@@ -92,7 +95,7 @@ def test_sum_normalize_flattens_nested_sums():
     inner = mf.ConnectedSum((mf.RP3(), mf.RP3()))
     m = mf.sum_normalize([inner, mf.Lens(3, 1)])
     assert str(m) == "L(3,1) # RP3 # RP3"
-    assert mf.canonicalize(m) == m
+    assert mf.sum_normalize(m.summands) == mf.ConnectedSum(m.summands) == m
 
 
 def test_connected_sum_validation():
@@ -100,6 +103,27 @@ def test_connected_sum_validation():
         mf.ConnectedSum((mf.RP3(),))
     with pytest.raises(TypeError):
         mf.ConnectedSum((mf.RP3(), "RP3"))
+
+
+def test_constructors_store_canonical_forms():
+    assert mf.Lens(5, 3) == mf.Lens(5, 2)
+    assert mf.Lens(-7, 9) == mf.Lens(7, 2)
+    assert (mf.SeifertOverS2(((3, 5), (2, 1)))
+            == mf.SeifertOverS2(((1, 1), (2, 1), (3, 2))))
+    assert (mf.ConnectedSum((mf.RP3(), mf.Lens(5, 2)))
+            == mf.sum_normalize([mf.Lens(5, 2), mf.RP3()]))
+    # each of these is canonically a value of another type
+    with pytest.raises(mf.InvalidLensParameters):
+        mf.Lens(2, 1)
+    with pytest.raises(seifert.InvalidFiber):
+        mf.SeifertOverS2(((1, 0),))
+    with pytest.raises(ValueError):
+        mf.ConnectedSum((mf.RP3(),))
+    with pytest.raises(ValueError):
+        mf.ConnectedSum((mf.Sphere(), mf.RP3(), mf.RP3()))
+    inner = mf.ConnectedSum((mf.RP3(), mf.RP3()))
+    with pytest.raises(ValueError):
+        mf.ConnectedSum((inner, mf.Lens(3, 1)))
 
 
 def test_seifert_over_s2_factory():
@@ -163,7 +187,7 @@ def test_homeomorphism_key_idempotent():
 def test_hand_built_sum_is_canonicalized():
     hand = mf.ConnectedSum((mf.Lens(5, 3), mf.SeifertOverS2(((3, 5), (2, 1)))))
     norm = mf.sum_normalize(hand.summands)
-    assert hand != norm
+    assert hand == norm
     assert mf.homeomorphism_key(hand) == mf.homeomorphism_key(norm)
     assert mf.homeomorphic(hand, norm)
     assert h1(hand) == h1(norm) == AbelianGroup(0, (65,))
@@ -183,9 +207,11 @@ def test_is_prime():
     assert mf.is_prime(mf.seifert_over_s2([(2, 1)] * 3))
 
 
-def test_canonicalize_rejects_non_manifolds():
-    with pytest.raises(TypeError):
-        mf.canonicalize("L(5,2)")
+def test_operations_reject_non_manifolds():
+    for operation in (h1, mf.homeomorphism_key, mf.is_prime,
+                      lambda m: mf.sum_normalize([m])):
+        with pytest.raises(TypeError):
+            operation("L(5,2)")
 
 
 def test_homeomorphic_twenty_exceptional_fibers_in_seconds():
