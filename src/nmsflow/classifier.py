@@ -34,7 +34,9 @@ class InvalidFlowInvariant(ValueError):
     """A quadruple violates the admissibility rules.
 
     The attribute `rule` names the violated rule: "non-coprime-pair" or
-    "malformed-inessential-marker".
+    "malformed-inessential-marker" from validate_invariant, or
+    "undefined-intermediate" from intermediate_seifert, which needs
+    l1 * l2 != 0.
     """
 
     def __init__(self, message: str, rule: str):

@@ -233,7 +233,7 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     if isinstance(m, SeifertOverS2):
         if not seifert._not_lens(m.fibers):
             return seifert_to_lens(m.fibers)
-        return SeifertOverS2(seifert.isomorphism_key(m.fibers))
+        return SeifertOverS2(seifert._isomorphism_key(m.fibers))
     if isinstance(m, ConnectedSum):
         return sum_normalize([homeomorphism_key(s) for s in m.summands])
     if isinstance(m, Manifold):

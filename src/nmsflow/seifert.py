@@ -21,7 +21,7 @@ runs in the public functions of this module that take raw fiber pairs
 lens_parameters) and in homology.h1_seifert_presentation.  The
 SeifertOverS2 constructor stores normalize(fibers), so the fibers of a
 value are a validated normal form, and its readers (the homeomorphism key,
-homology.h1) call the unvalidated cores _not_lens and
+homology.h1) call the unvalidated cores _not_lens, _isomorphism_key and
 homology._presentation on them.
 
 This module is deliberately free of manifold types; it only manipulates
@@ -131,7 +131,11 @@ def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
     alphas: num is L times the sum above, and a subset is admissible
     when L divides num.
     """
-    base = normalize(fibers)
+    return _isomorphism_key(normalize(fibers))
+
+
+def _isomorphism_key(base: SeifertData) -> SeifertData:
+    """isomorphism_key on data that is already a normal form."""
     b = sum(beta for alpha, beta in base if alpha == 1)
     exc = [f for f in base if f[0] >= 2]
     # A list, not a generator: math.lcm(*genexpr) in this loop grew the

@@ -5,13 +5,17 @@ partition, homology against the case formulas and across homeomorphism
 classes, the case-7 obstructions, framing involution, Smith normal form
 against cofactor arithmetic and a lattice quotient counted by subgroup
 closure, Seifert normal forms, homology kept by the homeomorphism key,
-render/parse round trips).  Each is one function in the ordered registry
+render/parse round trips).  Each is one entry in the ordered registry
 CHECKS, with its sizes and seed as keyword arguments; run_selfcheck runs
-them at their defaults, and the acceptance tests call the same functions
-at larger sizes.  Each returns (ok, detail).  Any hard failure makes the
-run return 3.  run_selfcheck classifies every admissible quadruple once
-itself for the per-quadruple checks; the checks over homeomorphism
-classes read the factored classes of enumerate_invariants.
+them at their defaults, and the acceptance tests call the same checks at
+larger sizes.  Each yields (ok, detail).  Any hard failure makes the run
+return 3.  The three per-quadruple checks are classes fed one
+classification result at a time, and their check_* functions feed one
+any iterable of results.  run_selfcheck feeds all three in one pass that
+classifies every admissible quadruple once and keeps no result, so its
+memory grows with the number of distinct manifold values, not of
+quadruples.  The checks over homeomorphism classes read the factored
+classes of enumerate_invariants.
 """
 
 from __future__ import annotations
@@ -42,20 +46,40 @@ from .surgery import Framing, framing_equivalent, invert_framing, saddle_framing
 _SEED = 0x3A7D
 
 
-def check_partition(results):
+def _feed(check, results):
+    """Add each result of the iterable `results` to `check`, in one pass,
+    and return its verdict."""
+    for r in results:
+        check.add(r)
+    return check.verdict()
+
+
+class CasePartition:
     """Each quadruple hits exactly one case predicate, the case reported.
 
     classify reads its case from the role table behind
     classifier._case_of, so this compares that table with the paper's
     case_predicates."""
-    bad = 0
-    for r in results:
+
+    def __init__(self):
+        self.count = 0
+        self.bad = 0
+
+    def add(self, r):
+        self.count += 1
         hits = case_predicates(r.invariant.l1, r.invariant.l2)
         if sum(hits) != 1 or hits.index(True) + 1 != r.case:
-            bad += 1
-    return (bad == 0,
-            f"{len(results)} quadruples, exactly one case each"
-            if bad == 0 else f"{bad} quadruples hit != 1 case")
+            self.bad += 1
+
+    def verdict(self):
+        return (self.bad == 0,
+                f"{self.count} quadruples, exactly one case each"
+                if self.bad == 0 else f"{self.bad} quadruples hit != 1 case")
+
+
+def check_partition(results):
+    """CasePartition over an iterable of classification results."""
+    return _feed(CasePartition(), results)
 
 
 def _expected_sum_group(l: int) -> AbelianGroup:
@@ -78,15 +102,25 @@ def _fiber_order(fibers) -> int:
     return abs(total)
 
 
-def check_h1_formulas(results):
-    """h1 of each classifier output against the per-case closed form."""
-    h1_of = {m: h1(m) for m in {r.manifold for r in results}}
-    order_of = {m: _fiber_order(m.fibers)
-                for m in {r.manifold for r in results if r.case == 7}}
-    bad = []
-    for r in results:
+class H1CaseFormulas:
+    """h1 of each classifier output against the per-case closed form.
+
+    h1 and the case-7 fiber order are computed once per distinct value;
+    the first three mismatching quadruples are kept, in input order."""
+
+    def __init__(self):
+        self.count = 0
+        self.bad = []
+        self._h1 = {}
+        self._order = {}
+
+    def add(self, r):
+        self.count += 1
+        m = r.manifold
+        group = self._h1.get(m)
+        if group is None:
+            group = self._h1[m] = h1(m)
         l1, m1, l2, m2 = r.invariant.quadruple()
-        group = h1_of[r.manifold]
         if r.case == 1:
             ok = group == _expected_sum_group(l2)
         elif r.case == 2:
@@ -100,12 +134,22 @@ def check_h1_formulas(results):
         elif r.case == 6:
             ok = group == AbelianGroup(0)
         else:
-            ok = group.order() == order_of[r.manifold]
-        if not ok:
-            bad.append(r.invariant.quadruple())
-    return (not bad,
-            f"h1 matches the case formulas on {len(results)} results"
-            if not bad else f"mismatch at {bad[:3]}")
+            order = self._order.get(m)
+            if order is None:
+                order = self._order[m] = _fiber_order(m.fibers)
+            ok = group.order() == order
+        if not ok and len(self.bad) < 3:
+            self.bad.append((l1, m1, l2, m2))
+
+    def verdict(self):
+        return (not self.bad,
+                f"h1 matches the case formulas on {self.count} results"
+                if not self.bad else f"mismatch at {self.bad}")
+
+
+def check_h1_formulas(results):
+    """H1CaseFormulas over an iterable of classification results."""
+    return _feed(H1CaseFormulas(), results)
 
 
 def _values(groups):
@@ -130,19 +174,34 @@ def check_h1_classes(groups):
             if bad == 0 else f"{bad} classes with mixed h1")
 
 
-def check_case7(results, lens_like):
+class Case7Obstructions:
     """Case-7 outputs pass the three-fiber obstruction, are prime, and are
-    homeomorphic to none of the lens-type values `lens_like`."""
-    lens_keys = {homeomorphism_key(m) for m in lens_like}
-    outputs = {r.manifold for r in results if r.case == 7}
-    bad = sum(1 for m in outputs
-              if not seifert.not_lens_obstruction(m.fibers)
-              or not is_prime(m)
-              or homeomorphism_key(m) in lens_keys)
-    return (bad == 0,
-            f"{len(outputs)} fibered outputs prime and distinct from "
-            f"{len(lens_like)} lens-type classes"
-            if bad == 0 else f"{bad} fibered outputs failed")
+    homeomorphic to none of the lens-type values `lens_like`.  Only the
+    distinct case-7 values are kept and checked."""
+
+    def __init__(self, lens_like):
+        self.lens_like = lens_like
+        self.outputs = set()
+
+    def add(self, r):
+        if r.case == 7:
+            self.outputs.add(r.manifold)
+
+    def verdict(self):
+        lens_keys = {homeomorphism_key(m) for m in self.lens_like}
+        bad = sum(1 for m in self.outputs
+                  if not seifert.not_lens_obstruction(m.fibers)
+                  or not is_prime(m)
+                  or homeomorphism_key(m) in lens_keys)
+        return (bad == 0,
+                f"{len(self.outputs)} fibered outputs prime and distinct from "
+                f"{len(self.lens_like)} lens-type classes"
+                if bad == 0 else f"{bad} fibered outputs failed")
+
+
+def check_case7(results, lens_like):
+    """Case7Obstructions over an iterable of classification results."""
+    return _feed(Case7Obstructions(lens_like), results)
 
 
 def check_framing_involution(*, limit=25):
@@ -320,12 +379,15 @@ def check_roundtrip(groups):
 
 
 # Registry of hard checks in report order: name, check, and the inputs
-# that run_selfcheck derives from its bound and passes positionally.
+# that run_selfcheck derives from its bound and passes positionally.  A
+# check whose inputs start with "results" is a class: run_selfcheck builds
+# it from the other inputs, adds each classification result to it in its
+# one pass over the admissible quadruples, and reports its verdict.
 CHECKS = (
-    ("case-partition", check_partition, ("results",)),
-    ("h1-case-formulas", check_h1_formulas, ("results",)),
+    ("case-partition", CasePartition, ("results",)),
+    ("h1-case-formulas", H1CaseFormulas, ("results",)),
     ("h1-on-homeo-classes", check_h1_classes, ("groups",)),
-    ("case7-obstructions", check_case7, ("results", "lens_like")),
+    ("case7-obstructions", Case7Obstructions, ("results", "lens_like")),
     ("framing-involution", check_framing_involution, ()),
     ("snf-vs-cofactors", check_snf, ()),
     ("seifert-normal-forms", check_seifert_forms, ()),
@@ -337,25 +399,33 @@ CHECKS = (
 def run_selfcheck(bound: int, write=print) -> int:
     """Run every registered check at its defaults and the given bound.
 
-    Each admissible quadruple is classified once, here: `results` lists
-    them in input order, for the per-quadruple checks.  `groups` holds the
-    factored homeomorphism classes of enumerate_invariants, which
-    classifies one quadruple per side-class pair, and `lens_like` the
-    lens-type class representatives.  Returns 0 when all hard checks pass,
-    3 otherwise.
+    One pass over valid_invariants(bound) classifies each admissible
+    quadruple once and adds the result to every per-quadruple check, so
+    no result outlives its step: memory grows with the number of distinct
+    manifold values, not of quadruples.  `groups` holds the factored
+    homeomorphism classes of enumerate_invariants, which classifies one
+    quadruple per side-class pair, and `lens_like` the lens-type class
+    representatives.  Returns 0 when all hard checks pass, 3 otherwise.
     """
-    results = [classify(inv) for inv in valid_invariants(bound)]
     groups = enumerate_invariants(bound)
     inputs = {
-        "results": results,
         "groups": groups,
         "lens_like": [c.representative for c in groups
                       if isinstance(c.representative, (Sphere, S2xS1, RP3, Lens))],
     }
-    write(f"selfcheck: bound {bound}, {len(results)} admissible quadruples")
+    fed = {name: check(*(inputs[k] for k in needs[1:]))
+           for name, check, needs in CHECKS if needs[:1] == ("results",)}
+    count = 0
+    for inv in valid_invariants(bound):
+        r = classify(inv)
+        count += 1
+        for check in fed.values():
+            check.add(r)
+    write(f"selfcheck: bound {bound}, {count} admissible quadruples")
     failures = 0
     for name, check, needs in CHECKS:
-        ok, detail = check(*(inputs[k] for k in needs))
+        ok, detail = (fed[name].verdict() if name in fed
+                      else check(*(inputs[k] for k in needs)))
         if not ok:
             failures += 1
         write(f"{'PASS' if ok else 'FAIL'} {name:<26} {detail}")
@@ -364,4 +434,3 @@ def run_selfcheck(bound: int, write=print) -> int:
         return 3
     write(f"selfcheck: all {len(CHECKS)} hard checks passed")
     return 0
-
