@@ -12,7 +12,6 @@ integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import seifert
@@ -22,6 +21,8 @@ from .manifolds import (
     RP3,
     S2xS1,
     Sphere,
+    Value,
+    _set_field,
     homeomorphism_key,
     lens_canonical,
     seifert_over_s2,
@@ -49,14 +50,27 @@ class InvariantKind(Enum):
     INESSENTIAL = "inessential"
 
 
-@dataclass(frozen=True, slots=True)
-class FlowInvariant:
+class FlowInvariant(Value):
     """A validated quadruple; build through validate_invariant()."""
-    l1: int
-    m1: int
-    l2: int
-    m2: int
-    kind: InvariantKind
+    __slots__ = ("l1", "m1", "l2", "m2", "kind")
+
+    def __init__(self, l1: int, m1: int, l2: int, m2: int,
+                 kind: InvariantKind) -> None:
+        _set_field(self, "l1", l1)
+        _set_field(self, "m1", m1)
+        _set_field(self, "l2", l2)
+        _set_field(self, "m2", m2)
+        _set_field(self, "kind", kind)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.l1 == other.l1 and self.m1 == other.m1
+                    and self.l2 == other.l2 and self.m2 == other.m2
+                    and self.kind == other.kind)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.l1, self.m1, self.l2, self.m2, self.kind))
 
     def quadruple(self) -> tuple[int, int, int, int]:
         return (self.l1, self.m1, self.l2, self.m2)
@@ -133,8 +147,7 @@ def _case_of(l1: int, l2: int) -> int:
     return _ROLE_CASES[min(abs(l1), 2)][min(abs(l2), 2)]
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationResult:
+class ClassificationResult(Value):
     """Outcome of the case analysis for one invariant.
 
     `intermediate_seifert` is the unreduced three-fiber data (present iff
@@ -145,11 +158,29 @@ class ClassificationResult:
     non-RP3 summand in cases 1 to 3.  The input invariant is retained, so
     sign provenance survives the |l| multiplicities in the output.
     """
-    invariant: FlowInvariant
-    case: int
-    manifold: Manifold
-    intermediate_seifert: seifert.SeifertData | None
-    lens_before_rp3_sum: LensParams | None
+    __slots__ = ("invariant", "case", "manifold", "intermediate_seifert",
+                 "lens_before_rp3_sum")
+
+    def __init__(self, invariant: FlowInvariant, case: int, manifold: Manifold,
+                 intermediate_seifert: seifert.SeifertData | None,
+                 lens_before_rp3_sum: LensParams | None) -> None:
+        _set_field(self, "invariant", invariant)
+        _set_field(self, "case", case)
+        _set_field(self, "manifold", manifold)
+        _set_field(self, "intermediate_seifert", intermediate_seifert)
+        _set_field(self, "lens_before_rp3_sum", lens_before_rp3_sum)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.invariant == other.invariant and self.case == other.case
+                    and self.manifold == other.manifold
+                    and self.intermediate_seifert == other.intermediate_seifert
+                    and self.lens_before_rp3_sum == other.lens_before_rp3_sum)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.invariant, self.case, self.manifold,
+                     self.intermediate_seifert, self.lens_before_rp3_sum))
 
 
 def _unread(l: int, m: int) -> None:
@@ -257,18 +288,32 @@ def valid_invariants(bound: int):
             yield _invariant(side1, side2)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumeratedClass:
+class EnumeratedClass(Value):
     """One homeomorphism class of enumerate_invariants.
 
     `representative` is the class's homeomorphism key, `count` the number
     of admissible quadruples in it, `example` the lexicographically least
     of them, and `values` the distinct manifolds classify() gives them.
     """
-    representative: Manifold
-    count: int
-    example: tuple[int, int, int, int]
-    values: frozenset[Manifold]
+    __slots__ = ("representative", "count", "example", "values")
+
+    def __init__(self, representative: Manifold, count: int,
+                 example: tuple[int, int, int, int],
+                 values: frozenset[Manifold]) -> None:
+        _set_field(self, "representative", representative)
+        _set_field(self, "count", count)
+        _set_field(self, "example", example)
+        _set_field(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.representative == other.representative
+                    and self.count == other.count and self.example == other.example
+                    and self.values == other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.representative, self.count, self.example, self.values))
 
 
 def _by_role(side: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:

@@ -7,15 +7,24 @@ Subcommands:
   enumerate  group admissible quadruples up to a bound by target manifold
   selfcheck  run the internal consistency battery
 
-`--bound` of enumerate must be an integer from 0 to 30, and that of
-selfcheck one from 0 to 15, written as an optional "-" and ASCII digits;
-anything else is a usage error.  The caps keep a run to seconds: the
-output of enumerate grows about as bound^4 (39,178 classes at bound 30),
-and so does the time of selfcheck, which classifies every admissible
-quadruple once (332,352 at bound 15, about 6 s and 21 MB peak RSS).
+Integers on the command line, the four operands of classify and every
+`--bound`, are written as an optional "-" and ASCII digits; anything else,
+such as "+2", "1_0" or Arabic-Indic digits, is a usage error.  Operands
+have no cap but Python's digit limit (4,300 digits by default), and bare
+negatives work (`classify 3 -1 5 2`).  `--bound` of
+enumerate must be from 0 to 30, and that of selfcheck from 0 to 15.  The
+caps keep a run to seconds: the output of enumerate grows about as
+bound^4 (39,178 classes at bound 30), and so does the time of selfcheck,
+which classifies every admissible quadruple once (332,352 at bound 15,
+about 6 s and 21 MB peak RSS).
 
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
+
+Start-up is most of the time of one `classify`: the package imports
+neither dataclasses nor typing, and importing nmsflow.cli loads every
+module whose functions the benchmark traces, selfcheck and surgery
+included.
 """
 
 from __future__ import annotations
@@ -38,19 +47,32 @@ MAX_BOUND = 30
 MAX_SELFCHECK_BOUND = 15
 
 
-def _bound_type(cap: int):
-    """argparse type of a --bound capped at `cap`; a rejected value exits
-    2 with usage.
+def _ascii_int(text: str, name: str) -> int:
+    """The integer `text` spells, for the argparse types below; a rejected
+    value, reported as an invalid `name`, exits 2 with usage.
 
-    The integer rule is the expression scanner's: an optional "-", then
-    ASCII digits (int() would also take "+2", " 1_0 " and "\u0661").
+    The rule is the expression scanner's: an optional "-", then ASCII
+    digits (int() would also take "+2", " 1_0 " and "\u0661").
     """
+    digits = text.removeprefix("-")
+    if not digits or not _DIGITS.issuperset(digits):
+        raise argparse.ArgumentTypeError(f"invalid {name} {text!r}: not an integer")
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"invalid {name}: integer of {len(digits)} digits is too long") from None
+
+
+def _operand(text: str) -> int:
+    """argparse type of a classify operand."""
+    return _ascii_int(text, "operand")
+
+
+def _bound_type(cap: int):
+    """argparse type of a --bound capped at `cap`."""
     def bound(text: str) -> int:
-        digits = text.removeprefix("-")
-        if not digits or not _DIGITS.issuperset(digits):
-            raise argparse.ArgumentTypeError(
-                f"invalid bound {text!r}: not an integer")
-        value = int(text)
+        value = _ascii_int(text, "bound")
         if value < 0:
             raise argparse.ArgumentTypeError(
                 f"invalid bound {value}: must be nonnegative")
@@ -69,10 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify an invariant quadruple")
-    p.add_argument("l1", type=int)
-    p.add_argument("m1", type=int)
-    p.add_argument("l2", type=int)
-    p.add_argument("m2", type=int)
+    for name in ("l1", "m1", "l2", "m2"):
+        p.add_argument(name, type=_operand)
     p.add_argument("--json", action="store_true", help="emit one JSON object")
 
     p = sub.add_parser("homeo", help="compare two manifold expressions")

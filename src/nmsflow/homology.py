@@ -9,8 +9,7 @@ Python's arbitrary-precision ints; no floating point is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import seifert
 from .manifolds import (
@@ -21,25 +20,25 @@ from .manifolds import (
     S2xS1,
     SeifertOverS2,
     Sphere,
+    Value,
+    _set_field,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Finitely generated abelian group in invariant-factor form.
 
     free_rank copies of Z plus cyclic factors Z/d1 + ... + Z/dk with
     2 <= d1 | d2 | ... | dk.  Factors of 1 are never stored.
     """
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: Iterable[int] = ()) -> None:
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
+        torsion = tuple(torsion)
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"invariant factor {d} must be >= 2")
             if prev is not None and d % prev != 0:
@@ -47,6 +46,16 @@ class AbelianGroup:
                     f"invariant factors must form a divisibility chain, "
                     f"got {prev} before {d}")
             prev = d
+        _set_field(self, "free_rank", free_rank)
+        _set_field(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.free_rank == other.free_rank and self.torsion == other.torsion
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     def order(self) -> int:
         """Group order, with 0 standing for infinite (positive free rank)."""

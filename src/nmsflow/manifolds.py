@@ -15,107 +15,190 @@ The total order on summands is Sphere < S2xS1 < Lens (by p, then q) <
 SeifertOverS2 (lexicographic on fibers) < RP3.  RP3 deliberately sorts last
 so that rendered sums read the way the classification states them, e.g.
 "L(5,2) # RP3".
+
+How values are built.  Every value class of the library (the manifolds
+here, LensParams, homology.AbelianGroup, surgery.Framing and the
+classifier's FlowInvariant, ClassificationResult and EnumeratedClass) is a
+hand-written slotted subclass of Value, not a dataclass.  Its __init__
+validates its arguments and stores the canonical form once, with no later
+repair step, so a value is canonical by construction.  Value states what
+the classes share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import seifert
+
+
+# How an __init__ stores a field past Value.__setattr__; a global name
+# costs less per call than looking up object.__setattr__ each time.
+_set_field = object.__setattr__
+
+
+class Value:
+    """Base of the library's immutable value classes.
+
+    A subclass names its fields in __slots__, in the order of its
+    constructor's parameters, and its __init__ stores them once through
+    _set_field.  Each subclass also writes its own __eq__ (same class and
+    equal fields, else NotImplemented) and __hash__ (the hash of the field
+    tuple): spelled out field by field, they are as fast as what
+    dataclasses would generate, without its import and codegen at
+    start-up.  This base makes fields read-only, gives the repr
+    `Name(field=value, ...)`, and lets copy and pickle rebuild a value
+    through its constructor, of which every value is a fixed point.
+    """
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
 
 class InvalidLensParameters(ValueError):
     """Lens parameters violate gcd(|p|, q) = 1 (or q != +/-1 when p = 0)."""
 
 
-@dataclass(frozen=True, slots=True)
-class LensParams:
+def _check_coprime(p: int, q: int) -> None:
+    """Raise InvalidLensParameters unless gcd(|p|, q) = 1; for p = 0 that
+    forces q = +/-1."""
+    if p == 0:
+        if q not in (1, -1):
+            raise InvalidLensParameters(
+                f"invalid-lens-parameters: (0, {q}) needs q = +/-1")
+    elif math.gcd(p, q) != 1:
+        raise InvalidLensParameters(
+            f"invalid-lens-parameters: ({p}, {q}) is not coprime")
+
+
+class LensParams(Value):
     """Raw, unnormalized lens parameters (p, q).
 
     Valid iff gcd(|p|, q) = 1; for p = 0 that forces q = +/-1.
     """
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p == 0:
-            if self.q not in (1, -1):
-                raise InvalidLensParameters(
-                    f"invalid-lens-parameters: (0, {self.q}) needs q = +/-1")
-        elif math.gcd(self.p, self.q) != 1:
-            raise InvalidLensParameters(
-                f"invalid-lens-parameters: ({self.p}, {self.q}) is not coprime")
+    def __init__(self, p: int, q: int) -> None:
+        _check_coprime(p, q)
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
 
-class Manifold:
+class Manifold(Value):
     """Base marker for canonical manifold values."""
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Sphere(Manifold):
+class _Atom(Manifold):
+    """A manifold without fields; all values of one atom class are equal."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class Sphere(_Atom):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "S3"
 
 
-@dataclass(frozen=True, slots=True)
-class S2xS1(Manifold):
+class S2xS1(_Atom):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "S2xS1"
 
 
-@dataclass(frozen=True, slots=True)
-class RP3(Manifold):
+class RP3(_Atom):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "RP3"
 
 
-@dataclass(frozen=True, slots=True)
 class Lens(Manifold):
     """Lens space L(p, q), stored as |p| >= 3 and min(q mod p, -q mod p)."""
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        LensParams(self.p, self.q)
-        p = abs(self.p)
-        if p <= 2:
+    def __init__(self, p: int, q: int) -> None:
+        _check_coprime(p, q)
+        n = abs(p)
+        if n <= 2:
             raise InvalidLensParameters(
-                f"L({self.p},{self.q}) is an atom; use lens_canonical")
-        q = self.q % p
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", min(q, p - q))
+                f"L({p},{q}) is an atom; use lens_canonical")
+        q %= n
+        _set_field(self, "p", n)
+        _set_field(self, "q", min(q, n - q))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True, slots=True)
 class SeifertOverS2(Manifold):
     """Seifert fibration over the sphere, stored as seifert.normalize(fibers)."""
-    fibers: seifert.SeifertData
+    __slots__ = ("fibers",)
 
-    def __post_init__(self) -> None:
-        fibers = seifert.normalize(self.fibers)
+    def __init__(self, fibers: Iterable[Sequence[int]]) -> None:
+        fibers = seifert.normalize(fibers)
         if not fibers:
             raise seifert.InvalidFiber(
                 "an empty normal form denotes S2xS1; use seifert_over_s2")
-        object.__setattr__(self, "fibers", fibers)
+        _set_field(self, "fibers", fibers)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.fibers == other.fibers
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fibers,))
 
     def __str__(self) -> str:
         body = ",".join(f"({a},{b})" for a, b in self.fibers)
         return f"SFS(S2; {body})"
 
 
-@dataclass(frozen=True, slots=True)
 class ConnectedSum(Manifold):
     """Connected sum of >= 2 summands, none S3 or a sum, stored sorted."""
-    summands: tuple[Manifold, ...]
+    __slots__ = ("summands",)
 
-    def __post_init__(self) -> None:
-        summands = tuple(self.summands)
+    def __init__(self, summands: Iterable[Manifold]) -> None:
+        summands = tuple(summands)
         if len(summands) < 2:
             raise ValueError("a connected sum needs at least 2 summands")
         for s in summands:
@@ -123,7 +206,15 @@ class ConnectedSum(Manifold):
                 raise TypeError(f"not a manifold value: {s!r}")
             if isinstance(s, (Sphere, ConnectedSum)):
                 raise ValueError(f"summand {s} is S3 or a sum; use sum_normalize")
-        object.__setattr__(self, "summands", tuple(sorted(summands, key=sort_key)))
+        _set_field(self, "summands", tuple(sorted(summands, key=sort_key)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.summands == other.summands
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.summands,))
 
     def __str__(self) -> str:
         return " # ".join(str(s) for s in self.summands)
@@ -156,7 +247,7 @@ def lens_canonical(p: int, q: int) -> Manifold:
     """
     if abs(p) > 2:
         return Lens(p, q)
-    LensParams(p, q)
+    _check_coprime(p, q)
     return (S2xS1, Sphere, RP3)[abs(p)]()
 
 

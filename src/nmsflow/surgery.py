@@ -7,25 +7,32 @@ torus.  Everything is exact integer arithmetic in SL(2, Z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import seifert
+from .manifolds import Value, _set_field
 
 
 class InvalidFraming(ValueError):
     """A framing (beta, alpha) that is not coprime."""
 
 
-@dataclass(frozen=True, slots=True)
-class Framing:
+class Framing(Value):
     """Surgery framing (beta, alpha) on a torus boundary; coprime."""
-    beta: int
-    alpha: int
+    __slots__ = ("beta", "alpha")
 
-    def __post_init__(self) -> None:
-        if math.gcd(self.beta, self.alpha) != 1:
-            raise InvalidFraming(
-                f"framing ({self.beta}, {self.alpha}) is not coprime")
+    def __init__(self, beta: int, alpha: int) -> None:
+        if math.gcd(beta, alpha) != 1:
+            raise InvalidFraming(f"framing ({beta}, {alpha}) is not coprime")
+        _set_field(self, "beta", beta)
+        _set_field(self, "alpha", alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.beta == other.beta and self.alpha == other.alpha
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.beta, self.alpha))
 
 
 def framing_equivalent(a: Framing, b: Framing) -> bool:

@@ -28,6 +28,32 @@ def test_classify_accepts_negative_arguments(capsys):
     assert out.startswith("case 4: L(3,1)\n")
 
 
+def test_classify_operands_are_ascii_integers(capsys):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3.
+    for operand in ("1_0", "\u0663", "+3", " 3", "3.0", "", "-"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", operand, "1", "5", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument l1: invalid operand {operand!r}: not an integer" in captured.err
+
+
+def test_classify_operands_take_bare_negatives_up_to_the_digit_limit(capsys):
+    assert main(["classify", "3", "-1", "5", "2"]) == 0
+    assert capsys.readouterr().out.startswith("case 7: SFS(S2; (2,1),(3,2),(5,3))\n")
+    big = 10**40 + 1
+    assert main(["classify", "0", "1", str(big), "-1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["input"] == [0, 1, big, -1]
+    assert payload["canonical"] == f"L({big},1) # RP3"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "0", "1", "7" * 5000, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument l2: invalid operand: integer of 5000 digits is too long" in err
+
+
 def test_classify_json_case_one(capsys):
     assert main(["classify", "0", "1", "5", "2", "--json"]) == 0
     out = capsys.readouterr().out.strip()
@@ -117,7 +143,8 @@ def test_negative_bound_is_a_usage_error(capsys):
                  ["enumerate", "--bound", "\u0661"],
                  ["enumerate", "--bound", "\u0663"],
                  ["enumerate", "--bound", " 0_1 "],
-                 ["enumerate", "--bound", "+2"]):
+                 ["enumerate", "--bound", "+2"],
+                 ["enumerate", "--bound", "7" * 5000]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

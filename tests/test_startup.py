@@ -1,0 +1,38 @@
+"""What importing the CLI loads, in a fresh interpreter.
+
+Start-up is most of the time of one `nmsflow classify`.  The package keeps
+dataclasses and typing out of its imports, and with them inspect and ast,
+which dataclasses imports.  It also imports every module whose functions
+perfbench/tracing.py traces, since the tracer looks each one up in
+sys.modules and a lazily imported module would be missing there.  The
+interpreter runs under -S and builds the parser, as the benchmark's set-up
+command does.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from test_traced_names import _traced
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+UNWANTED = {"dataclasses", "typing", "inspect", "ast"}
+
+
+def _modules_after_cli_setup() -> set[str]:
+    code = ("import sys, nmsflow.cli as c; c._build_parser(); "
+            "print('\\n'.join(sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    return set(proc.stdout.split())
+
+
+def test_cli_setup_imports_no_dataclasses_or_typing_and_every_traced_module():
+    loaded = _modules_after_cli_setup()
+    assert "nmsflow.cli" in loaded
+    assert not loaded & UNWANTED, sorted(loaded & UNWANTED)
+    traced = {f"nmsflow.{module}" for module, _ in _traced()}
+    assert traced <= loaded, sorted(traced - loaded)
