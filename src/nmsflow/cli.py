@@ -38,7 +38,7 @@ from .classifier import (
     classify_quadruple,
     enumerate_invariants,
 )
-from .expressions import _DIGITS, ParseError, parse_manifold
+from .expressions import INTEGER, ParseError, parse_manifold
 from .homology import h1
 from .manifolds import homeomorphic, is_prime
 from .selfcheck import run_selfcheck
@@ -51,17 +51,17 @@ def _ascii_int(text: str, name: str) -> int:
     """The integer `text` spells, for the argparse types below; a rejected
     value, reported as an invalid `name`, exits 2 with usage.
 
-    The rule is the expression scanner's: an optional "-", then ASCII
-    digits (int() would also take "+2", " 1_0 " and "\u0661").
+    The rule is the expression grammar's INTEGER: an optional "-", then
+    ASCII digits (int() would also take "+2", " 1_0 " and "\u0661").
     """
-    digits = text.removeprefix("-")
-    if not digits or not _DIGITS.issuperset(digits):
+    if INTEGER.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"invalid {name} {text!r}: not an integer")
     try:
         return int(text)
     except ValueError:  # past sys.get_int_max_str_digits()
         raise argparse.ArgumentTypeError(
-            f"invalid {name}: integer of {len(digits)} digits is too long") from None
+            f"invalid {name}: integer of {len(text.removeprefix('-'))} digits "
+            "is too long") from None
 
 
 def _operand(text: str) -> int:

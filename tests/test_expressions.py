@@ -1,9 +1,13 @@
+import argparse
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from nmsflow.expressions import ParseError, parse_manifold, render_manifold
+from nmsflow import expressions
+from nmsflow.cli import _ascii_int
+from nmsflow.expressions import INTEGER, ParseError, parse_manifold, render_manifold
 from nmsflow.manifolds import (
     Lens,
     Manifold,
@@ -88,6 +92,31 @@ def test_parse_error_positions():
         assert str(err.value).startswith("expected an integer")
 
 
+def test_parse_rejects_non_strings_with_type_error():
+    for value in (b"S3", ["S3"], None, 5):
+        with pytest.raises(TypeError, match="not an expression string"):
+            parse_manifold(value)
+
+
+def test_integer_rule_is_an_optional_minus_and_ascii_digits():
+    # The one statement of the rule, read by the grammar and the CLI alike.
+    for text in ("0", "-0", "007", "-12"):
+        assert INTEGER.fullmatch(text)
+        assert _ascii_int(text, "operand") == int(text)
+    for text in ("", "-", "--5", "+2", "1_0", " 3", "3\n", "\u0663", "\u00b2"):
+        assert INTEGER.fullmatch(text) is None
+        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+            _ascii_int(text, "operand")
+
+
+def test_final_newline_is_whitespace_not_an_end_of_expression():
+    assert parse_manifold("RP3\n") == RP3()
+    with pytest.raises(ParseError) as err:
+        parse_manifold("L(5,2) #\n")
+    assert err.value.position == 9
+    assert str(err.value).startswith("expected a manifold summand")
+
+
 def test_parse_error_on_integers_past_the_conversion_limit():
     digits = "7" * 5000
     with pytest.raises(ParseError) as err:
@@ -170,3 +199,84 @@ def _parses_or_raises_parse_error(text):
 def test_parse_returns_a_manifold_or_raises_parse_error():
     with deadline(30.0):
         _parses_or_raises_parse_error()
+
+
+_SCANNER = expressions._Scanner
+
+
+def _scanner_parse(text):
+    """The grammar read by the token scanner alone, summand by summand."""
+    s = _SCANNER(text)
+    summands = [s.summand()]
+    while not s.at_end():
+        s.expect("#")
+        summands.append(s.summand())
+    return sum_normalize(summands)
+
+
+def _outcome(parse, text):
+    try:
+        return ("value", parse(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+_TOKEN = re.compile(r"S2xS1|SFS|S2|RP3|L|-?[0-9]+|\S")
+
+
+@st.composite
+def _respaced(draw):
+    """A rendered canonical sum with Unicode whitespace between its tokens."""
+    tokens = _TOKEN.findall(render_manifold(draw(_SUM)))
+    gaps = draw(st.lists(st.text(alphabet=" \x1c\n", max_size=2),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+
+
+_SPACED = _respaced()
+_DIFFERENTIAL_TEXT = st.one_of(
+    _TEXT, _SPACED,
+    st.tuples(_SPACED, st.integers(0, 80), st.text(max_size=3)).map(_spliced))
+
+
+class _CountingScanner(_SCANNER):
+    entries = 0
+
+    def __init__(self, *args):
+        type(self).entries += 1
+        super().__init__(*args)
+
+
+@settings(max_examples=1000)
+@given(_DIFFERENTIAL_TEXT)
+def _agrees_with_the_scanner(text):
+    expected = _outcome(_scanner_parse, text)
+    entries = _CountingScanner.entries
+    got = _outcome(parse_manifold, text)
+    assert got == expected
+    # The scanner only locates errors: entered once on an error, never
+    # on text that parses.
+    assert _CountingScanner.entries == entries + (got[0] == "error")
+
+
+def test_parse_agrees_with_the_scanner_alone(monkeypatch):
+    monkeypatch.setattr(expressions, "_Scanner", _CountingScanner)
+    with deadline(60.0):
+        _agrees_with_the_scanner()
+
+
+def test_parse_time_is_linear_on_inputs_that_could_make_a_pattern_backtrack():
+    cases = [
+        ("L(" + " " * 200_000, 200_002, "expected an integer"),
+        ("SFS(S2; " + ",".join(["(2,1)"] * 20_000), 120_007, "expected ')'"),
+        (" # ".join(["L(5,2)"] * 20_000) + " # x", 180_000,
+         "expected a manifold summand"),
+        ("SFS(S2; (" + "1" * 4000 + " 1", 4010, "expected \x27,\x27"),
+    ]
+    for text, position, message in cases:
+        with deadline(5.0):
+            got = _outcome(parse_manifold, text)
+            assert got == _outcome(_scanner_parse, text)
+        assert got[0] == "error"
+        assert got[1].startswith(message)
+        assert got[2] == position
