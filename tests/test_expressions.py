@@ -27,6 +27,7 @@ def test_parse_atoms():
     assert parse_manifold("S2xS1") == S2xS1()
     assert parse_manifold("RP3") == RP3()
     assert parse_manifold("  RP3  ") == RP3()
+    assert parse_manifold("RP3\n") == RP3()
 
 
 def test_parse_lens_canonicalizes():
@@ -75,6 +76,9 @@ def test_parse_error_positions():
         parse_manifold("")
     with pytest.raises(ParseError):
         parse_manifold("L(5,2) #")
+    with pytest.raises(ParseError) as err:  # a final newline ends no summand
+        parse_manifold("L(5,2) #\n")
+    assert err.value.position == 9
     with pytest.raises(ParseError):
         parse_manifold("L(5)")
     with pytest.raises(ParseError):
@@ -107,14 +111,6 @@ def test_integer_rule_is_an_optional_minus_and_ascii_digits():
         assert INTEGER.fullmatch(text) is None
         with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
             _ascii_int(text, "operand")
-
-
-def test_final_newline_is_whitespace_not_an_end_of_expression():
-    assert parse_manifold("RP3\n") == RP3()
-    with pytest.raises(ParseError) as err:
-        parse_manifold("L(5,2) #\n")
-    assert err.value.position == 9
-    assert str(err.value).startswith("expected a manifold summand")
 
 
 def test_parse_error_on_integers_past_the_conversion_limit():
@@ -247,7 +243,7 @@ class _CountingScanner(_SCANNER):
         super().__init__(*args)
 
 
-@settings(max_examples=1000)
+@settings(max_examples=400)
 @given(_DIFFERENTIAL_TEXT)
 def _agrees_with_the_scanner(text):
     expected = _outcome(_scanner_parse, text)
@@ -271,7 +267,7 @@ def test_parse_time_is_linear_on_inputs_that_could_make_a_pattern_backtrack():
         ("SFS(S2; " + ",".join(["(2,1)"] * 20_000), 120_007, "expected ')'"),
         (" # ".join(["L(5,2)"] * 20_000) + " # x", 180_000,
          "expected a manifold summand"),
-        ("SFS(S2; (" + "1" * 4000 + " 1", 4010, "expected \x27,\x27"),
+        ("SFS(S2; (" + "1" * 4000 + " 1", 4010, "expected ','"),
     ]
     for text, position, message in cases:
         with deadline(5.0):
