@@ -1,8 +1,10 @@
-"""First homology: Smith normal form of relation matrices, gcd and lcm for sums.
+"""First homology: gcd closed forms for values, Smith normal form for matrices.
 
 This module is the independent cross-check of the classification: it never
-calls the classifier, and the Seifert H1 comes from an explicit relation
-matrix rather than from any closed form.  All arithmetic is exact over
+calls the classifier.  h1 of a Seifert value and of a connected sum comes
+from gcds alone, with no matrix; the Seifert relation matrix and its Smith
+normal form stay public as h1_seifert_presentation, the second route that
+tests and selfcheck compare h1 against.  All arithmetic is exact over
 Python's arbitrary-precision ints; no floating point is involved anywhere.
 """
 
@@ -170,13 +172,11 @@ def h1_seifert_presentation(fibers: Iterable[Sequence[int]]) -> AbelianGroup:
     alpha_i * x_i + beta_i * h = 0 and sum_i x_i = 0: the sign convention
     stated in the seifert module, which lens_parameters shares.  The
     integer term is treated as the fiber (1, b).  For r = 0 the matrix is
-    the 1 x 1 zero matrix and the group is Z.
+    the 1 x 1 zero matrix and the group is Z.  h1 takes a closed form
+    instead; this is the independent route that tests and selfcheck
+    compare it against.
     """
-    return _presentation(seifert.check_fibers(fibers))
-
-
-def _presentation(data: seifert.SeifertData) -> AbelianGroup:
-    """h1_seifert_presentation of data that check_fibers has accepted."""
+    data = seifert.check_fibers(fibers)
     r = len(data)
     rows = []
     for i, (alpha, beta) in enumerate(data):
@@ -188,17 +188,73 @@ def _presentation(data: seifert.SeifertData) -> AbelianGroup:
     return cokernel(rows)
 
 
+def _divisor_chain(d: list[int]) -> list[int]:
+    """Invariant factors of Z/d_1 + ... + Z/d_k, 1s kept, in place.
+
+    Each pair (d_i, d_j), i < j, is replaced by (gcd, lcm), which keeps
+    the group; afterwards d_1 | d_2 | ... | d_k.  That is O(k^2) gcds,
+    where a k x k Smith normal form would be O(k^3) row operations.
+    """
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[i] == 1:
+                break  # (1, d_j) is already (gcd, lcm)
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
+
+
+def _h1_seifert(data: seifert.SeifertData) -> AbelianGroup:
+    """H1 of validated fiber data, from gcds alone.
+
+    Let N = |sum_i beta_i prod_{j != i} alpha_j| (= |e| prod alpha_i) and
+    c_1 | ... | c_r the divisor chain of alpha_1, ..., alpha_r.  Then
+    H1 = Z/c_1 + ... + Z/c_{r-2} + Z/(N / (c_1 ... c_{r-2})) if N != 0,
+    and Z + Z/c_1 + ... + Z/c_{r-2} if N = 0, with the 1s dropped.
+    Fibers (1, b) only add 1s to the chain, so any valid data will do.
+
+    Proof.  Since gcd(alpha_i, beta_i) = 1, the relation
+    alpha_i * x_i + beta_i * h = 0 says x_i = -beta_i * t_i and
+    h = alpha_i * t_i for a new generator t_i.  So H1 has generators
+    t_1, ..., t_r and relations alpha_1 * t_1 = alpha_i * t_i (i >= 2)
+    and sum_i beta_i * t_i = 0.  Work one prime p at a time, over the
+    integers localized at p, with the fibers ordered so that the
+    p-valuations a_i of alpha_i fall, a_1 >= a_2 >= ....  Put
+    s_i = t_i - (alpha_1 / alpha_i) * t_1 for i >= 2, which is p-integral.
+    The relations become alpha_i * s_i = 0 (i >= 2) and
+    alpha_1 * e * t_1 + sum_{i>=2} beta_i * s_i = 0, where alpha_1 * e is
+    p-integral.  If a_2 = 0, every s_i is 0.  Otherwise beta_2 is a unit;
+    eliminating s_2 turns alpha_2 * s_2 = 0 into
+    p^a_2 * alpha_1 * e * t_1 = 0, since p^a_2 already kills every other
+    s_i.  Either way the p-part is
+    Z/(p^a_2 * alpha_1 * e) + Z/p^a_3 + ... + Z/p^a_r, with Z as the
+    first term when e = 0.  The r - 2 least powers are the p-parts of
+    c_1, ..., c_{r-2}, and the first term has valuation v_p(N) minus
+    theirs, at least a_2, so the factors above form a divisor chain.
+    """
+    total, prod = 0, 1
+    for alpha, beta in data:
+        total = total * alpha + beta * prod
+        prod *= alpha
+    head = _divisor_chain([alpha for alpha, _ in data])[:max(len(data) - 2, 0)]
+    torsion = [c for c in head if c != 1]
+    if not total:
+        return AbelianGroup(1, torsion)
+    last = abs(total) // math.prod(torsion)
+    if last != 1:
+        torsion.append(last)
+    return AbelianGroup(0, torsion)
+
+
 def h1(m: Manifold) -> AbelianGroup:
     """First homology of a manifold value.
 
-    Atoms and lens spaces use their standard groups, and Seifert values use
-    the relation-matrix presentation of their stored normal form.  A
+    Atoms and lens spaces use their standard groups, and Seifert values
+    the gcd closed form of _h1_seifert on their stored normal form.  A
     connected sum takes the direct sum of its summands' groups: the free
-    ranks add, and the torsion factors d_1, ..., d_k become a divisibility
-    chain by replacing (d_i, d_j) with (gcd, lcm) for each i < j and
-    dropping the 1s.  That is O(k^2) gcds, where a k x k Smith normal form
-    would be O(k^3) row operations.  Raises TypeError on anything but a
-    Manifold.
+    ranks add, and the torsion factors become a divisor chain with the 1s
+    dropped.  Both run in O(k^2) gcds for k fibers or factors.  Raises
+    TypeError on anything but a Manifold.
     """
     if isinstance(m, Sphere):
         return AbelianGroup(0)
@@ -209,16 +265,10 @@ def h1(m: Manifold) -> AbelianGroup:
     if isinstance(m, Lens):
         return AbelianGroup(0, (m.p,))
     if isinstance(m, SeifertOverS2):
-        return _presentation(m.fibers)  # the constructor has validated them
+        return _h1_seifert(m.fibers)  # the constructor has validated them
     if isinstance(m, ConnectedSum):
         parts = [h1(s) for s in m.summands]
-        d = [f for g in parts for f in g.torsion]
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[i] == 1:
-                    break  # (1, d_j) is already (gcd, lcm)
-                g = math.gcd(d[i], d[j])
-                d[i], d[j] = g, d[i] // g * d[j]
+        d = _divisor_chain([f for g in parts for f in g.torsion])
         return AbelianGroup(sum(g.free_rank for g in parts),
                             tuple(f for f in d if f != 1))
     raise TypeError(f"not a manifold value: {m!r}")

@@ -12,8 +12,8 @@ So H1 has generators x_1, ..., x_r, h and relations
 alpha_i * x_i + beta_i * h = 0 and x_1 + ... + x_r = 0, the Euler number is
 e = sum beta_i / alpha_i, and the H1 order of a rational homology sphere is
 |e| * prod alpha_i.  Reversing the orientation negates every beta.
-lens_parameters and homology.h1_seifert_presentation both use this
-convention.
+lens_parameters, homology.h1_seifert_presentation and the closed form of
+homology.h1 all use this convention.
 
 Validation.  Fiber data is checked once, where it enters: check_fibers
 runs in the public functions of this module that take raw fiber pairs
@@ -22,7 +22,7 @@ lens_parameters) and in homology.h1_seifert_presentation.  The
 SeifertOverS2 constructor stores normalize(fibers), so the fibers of a
 value are a validated normal form, and its readers (the homeomorphism key,
 homology.h1) call the unvalidated cores _not_lens, _isomorphism_key and
-homology._presentation on them.
+homology._h1_seifert on them.
 
 This module is deliberately free of manifold types; it only manipulates
 fiber data.  The bridge to canonical manifold values (seifert_to_lens and

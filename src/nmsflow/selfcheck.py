@@ -9,13 +9,12 @@ render/parse round trips).  Each is one entry in the ordered registry
 CHECKS, with its sizes and seed as keyword arguments; run_selfcheck runs
 them at their defaults, and the acceptance tests call the same checks at
 larger sizes.  Each yields (ok, detail).  Any hard failure makes the run
-return 3.  The three per-quadruple checks are classes fed one
-classification result at a time, and their check_* functions feed one
-any iterable of results.  run_selfcheck feeds all three in one pass that
-classifies every admissible quadruple once and keeps no result, so its
-memory grows with the number of distinct manifold values, not of
-quadruples.  The checks over homeomorphism classes read the factored
-classes of enumerate_invariants.
+return 3.  The three per-quadruple checks are classes: add takes one
+classification result and verdict gives (ok, detail).  run_selfcheck
+feeds all three in one pass that classifies every admissible quadruple
+once and keeps no result, so its memory grows with the number of
+distinct manifold values, not of quadruples.  The checks over
+homeomorphism classes read the factored classes of enumerate_invariants.
 """
 
 from __future__ import annotations
@@ -31,7 +30,13 @@ from .classifier import (
     valid_invariants,
 )
 from .expressions import parse_manifold
-from .homology import AbelianGroup, h1, h1_seifert_presentation, smith_normal_form
+from .homology import (
+    AbelianGroup,
+    _h1_seifert,
+    h1,
+    h1_seifert_presentation,
+    smith_normal_form,
+)
 from .manifolds import (
     Lens,
     RP3,
@@ -44,14 +49,6 @@ from .manifolds import (
 from .surgery import Framing, framing_equivalent, invert_framing, saddle_framing
 
 _SEED = 0x3A7D
-
-
-def _feed(check, results):
-    """Add each result of the iterable `results` to `check`, in one pass,
-    and return its verdict."""
-    for r in results:
-        check.add(r)
-    return check.verdict()
 
 
 class CasePartition:
@@ -75,11 +72,6 @@ class CasePartition:
         return (self.bad == 0,
                 f"{self.count} quadruples, exactly one case each"
                 if self.bad == 0 else f"{self.bad} quadruples hit != 1 case")
-
-
-def check_partition(results):
-    """CasePartition over an iterable of classification results."""
-    return _feed(CasePartition(), results)
 
 
 def _expected_sum_group(l: int) -> AbelianGroup:
@@ -147,11 +139,6 @@ class H1CaseFormulas:
                 if not self.bad else f"mismatch at {self.bad}")
 
 
-def check_h1_formulas(results):
-    """H1CaseFormulas over an iterable of classification results."""
-    return _feed(H1CaseFormulas(), results)
-
-
 def _values(groups):
     """The distinct representatives and member values of the classes."""
     values = {c.representative for c in groups}
@@ -197,11 +184,6 @@ class Case7Obstructions:
                 f"{len(self.outputs)} fibered outputs prime and distinct from "
                 f"{len(self.lens_like)} lens-type classes"
                 if bad == 0 else f"{bad} fibered outputs failed")
-
-
-def check_case7(results, lens_like):
-    """Case7Obstructions over an iterable of classification results."""
-    return _feed(Case7Obstructions(lens_like), results)
 
 
 def check_framing_involution(*, limit=25):
@@ -331,8 +313,10 @@ def random_fibers(rng, max_len=4, alpha_max=9, beta_max=9):
 
 
 def check_seifert_forms(*, count=200, seed=_SEED + 1):
-    """normalize is idempotent and keeps the Euler number and h1; the
-    isomorphism key ignores order and ordinary (1, 0) fibers."""
+    """normalize is idempotent and keeps the Euler number and h1, with
+    h1's closed form on the normal form against the relation matrix of
+    the raw data; the isomorphism key ignores order and ordinary (1, 0)
+    fibers."""
     rng = random.Random(seed)
     bad = 0
     for _ in range(count):
@@ -342,7 +326,7 @@ def check_seifert_forms(*, count=200, seed=_SEED + 1):
             bad += 1
         if seifert.euler_number(n) != seifert.euler_number(s):
             bad += 1
-        if h1_seifert_presentation(s) != h1_seifert_presentation(n):
+        if h1_seifert_presentation(s) != _h1_seifert(n):
             bad += 1
         shuffled = list(s)
         rng.shuffle(shuffled)
@@ -356,8 +340,8 @@ def check_seifert_forms(*, count=200, seed=_SEED + 1):
 
 def check_key_h1(*, count=200, max_len=4, seed=_SEED + 2):
     """h1 of the homeomorphism key of random Seifert data equals h1 of the
-    data's relation-matrix presentation: the lens conversion and the
-    isomorphism key keep H1."""
+    data's relation-matrix presentation: the lens conversion, the
+    isomorphism key and h1's closed form keep H1."""
     rng = random.Random(seed)
     bad = []
     for _ in range(count):

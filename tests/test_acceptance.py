@@ -25,11 +25,11 @@ from nmsflow.manifolds import (
 )
 from nmsflow.selfcheck import (
     CHECKS,
-    check_case7,
+    Case7Obstructions,
+    CasePartition,
+    H1CaseFormulas,
     check_framing_involution,
-    check_h1_formulas,
     check_key_h1,
-    check_partition,
     check_snf,
     random_fibers,
     run_selfcheck,
@@ -71,14 +71,16 @@ def _classified(bound):
     return [classify(inv) for inv in valid_invariants(bound)]
 
 
-def _streamed(bound):
-    # A generator: the checks must take their results in one pass.
-    return (classify(inv) for inv in valid_invariants(bound))
+def _fed(check, bound):
+    # One result at a time, as run_selfcheck feeds them.
+    for inv in valid_invariants(bound):
+        check.add(classify(inv))
+    return check.verdict()
 
 
 def test_criterion_2_case_partition():
     t0 = time.monotonic()
-    ok, detail = check_partition(_streamed(10))
+    ok, detail = _fed(CasePartition(), 10)
     elapsed = time.monotonic() - t0
     _report(2, "case partition", ok and elapsed < 5.0,
             f"bound 10: {detail}, {elapsed:.2f}s (budget 5s)")
@@ -86,7 +88,7 @@ def test_criterion_2_case_partition():
 
 def test_criterion_3_homology_cross_validation():
     t0 = time.monotonic()
-    ok, detail = check_h1_formulas(_streamed(8))
+    ok, detail = _fed(H1CaseFormulas(), 8)
     elapsed = time.monotonic() - t0
     _report(3, "homology cross-validation", ok and elapsed < 30.0,
             f"bound 8: {detail}, {elapsed:.1f}s (budget 30s)")
@@ -268,7 +270,10 @@ def test_criterion_8_case7_obstructions():
     lens_grid = {lens_canonical(p, q)
                  for p in range(31) for q in range(1, 31)
                  if math.gcd(p, q) == 1} | {lens_canonical(0, 1)}
-    ok, detail = check_case7(results, lens_like | lens_grid)
+    check = Case7Obstructions(lens_like | lens_grid)
+    for res in results:
+        check.add(res)
+    ok, detail = check.verdict()
     elapsed = time.monotonic() - t0
     _report(8, "case-7 obstructions", ok,
             f"bound 8: {detail}: the {len(lens_like)} lens-type summands "

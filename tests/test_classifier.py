@@ -27,7 +27,7 @@ from nmsflow.manifolds import (
     homeomorphic,
     homeomorphism_key,
 )
-from nmsflow.selfcheck import check_partition
+from nmsflow.selfcheck import CasePartition
 from oracles import enumerate_bruteforce
 from timelimit import deadline
 
@@ -287,12 +287,19 @@ def test_case_of_role_table_matches_predicates(l1, l2):
     assert classifier._case_of(l1, l2) == case_predicates(l1, l2).index(True) + 1
 
 
+def _partition_verdict():
+    check = CasePartition()
+    for inv in valid_invariants(3):
+        check.add(classify(inv))
+    return check.verdict()
+
+
 def test_check_partition_catches_a_wrong_role_table(monkeypatch):
-    assert check_partition([classify(inv) for inv in valid_invariants(3)])[0]
+    assert _partition_verdict()[0]
     table = [list(row) for row in classifier._ROLE_CASES]
     table[2][2] = 5  # |l1|, |l2| >= 2 is case 7, not 5
     monkeypatch.setattr(classifier, "_ROLE_CASES", tuple(map(tuple, table)))
-    ok, detail = check_partition([classify(inv) for inv in valid_invariants(3)])
+    ok, detail = _partition_verdict()
     assert not ok
     assert detail.endswith("quadruples hit != 1 case")
 

@@ -12,6 +12,7 @@ from oracles import (
 from timelimit import deadline
 
 from nmsflow import seifert
+from nmsflow.cli import main
 from nmsflow.homology import (
     AbelianGroup,
     cokernel,
@@ -208,6 +209,74 @@ def test_h1_seifert_values():
     assert h1(m) == AbelianGroup(0, (20,))
     # |1*3*5 + 1*2*5 + 3*2*3| = 43
     assert h1(seifert_over_s2([(2, 1), (3, 1), (5, 3)])).order() == 43
+
+
+# Each group was computed by the relation matrix before h1 took the gcd
+# closed form; both routes are held to it.
+_SEIFERT_H1_ROWS = [
+    ([(2, 1)] * 3, "Z/2 + Z/6"),
+    ([(2, 1), (2, 1), (2, -1)], "Z/2 + Z/2"),
+    ([(2, -1), (3, 1), (5, 1)], "0"),
+    ([(2, 1), (2, 1), (1, -1)], "Z"),
+    ([(2, 1)] * 4, "Z/2 + Z/2 + Z/8"),
+    ([(4, 1)] * 4 + [(1, -1)], "Z + Z/4 + Z/4"),
+    ([(3, 1)] * 4, "Z/3 + Z/3 + Z/12"),
+]
+
+
+def test_h1_seifert_closed_form_frozen():
+    for fibers, group in _SEIFERT_H1_ROWS:
+        assert str(h1(seifert_over_s2(fibers))) == group, fibers
+        assert str(h1_seifert_presentation(fibers)) == group, fibers
+
+
+# Multiplicities that share primes, so the divisor chain has several
+# factors above 1, mixed with large ones.
+_ALPHA = st.one_of(st.sampled_from([2, 4, 8, 3, 9, 6, 12]),
+                   st.integers(1, 10 ** 6))
+
+
+@st.composite
+def _fibers(draw):
+    fibers = []
+    for alpha in draw(st.lists(_ALPHA, max_size=8)):
+        beta = draw(st.integers(-3 * alpha, 3 * alpha).filter(
+            lambda b: alpha == 1 or math.gcd(alpha, b) == 1))
+        fibers.append((alpha, beta))
+    if draw(st.booleans()):
+        # One more fiber of slope -e makes e = 0; it is (1, -e) when e is
+        # an integer.
+        e = seifert.euler_number(fibers)
+        fibers.append((e.denominator, -e.numerator))
+    return fibers
+
+
+@settings(deadline=None)
+@given(_fibers())
+def test_h1_seifert_closed_form_matches_relation_matrix(fibers):
+    assert h1(seifert_over_s2(fibers)) == h1_seifert_presentation(fibers)
+
+
+def test_h1_of_a_400_fiber_seifert_value_in_polynomial_time(capsys):
+    # The Smith normal form of its 401-square relation matrix gives no
+    # result in minutes.
+    rng = random.Random(400)
+    fibers = []
+    for _ in range(400):
+        alpha = rng.randint(2, 10 ** 6)
+        beta = rng.randint(1, alpha - 1)
+        while math.gcd(alpha, beta) != 1:
+            beta = rng.randint(1, alpha - 1)
+        fibers.append((alpha, beta))
+    m = seifert_over_s2(fibers)
+    text = str(m)
+    with deadline(1.0):
+        group = h1(m)
+        assert main(["h1", text]) == 0
+    assert capsys.readouterr().out == f"{group}\n"
+    assert group.free_rank == 0
+    assert group.order() == abs(seifert.euler_number(fibers)
+                                * math.prod(a for a, _ in fibers))
 
 
 # Lens summands draw p from a few values per sum, so p repeats, and the
