@@ -22,9 +22,9 @@ Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
 
 Start-up is most of the time of one `classify`: the package imports
-neither dataclasses nor typing, and importing nmsflow.cli loads every
-module whose functions the benchmark traces, selfcheck and surgery
-included.
+neither dataclasses nor typing, nor fractions outside
+seifert.euler_number, and importing nmsflow.cli loads every module whose
+functions the benchmark traces, selfcheck and surgery included.
 """
 
 from __future__ import annotations

@@ -174,7 +174,9 @@ def h1_seifert_presentation(fibers: Iterable[Sequence[int]]) -> AbelianGroup:
     integer term is treated as the fiber (1, b).  For r = 0 the matrix is
     the 1 x 1 zero matrix and the group is Z.  h1 takes a closed form
     instead; this is the independent route that tests and selfcheck
-    compare it against.
+    compare it against.  It is a cross-check for small data: on a seeded
+    value of 200 fibers with alphas up to 10^6 it gave no result within
+    300 s, where h1 takes milliseconds.
     """
     data = seifert.check_fibers(fibers)
     r = len(data)

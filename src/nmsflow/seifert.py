@@ -32,7 +32,6 @@ friends) lives in manifolds.py.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from collections.abc import Iterable, Sequence
 
 SeifertData = tuple[tuple[int, int], ...]
@@ -93,6 +92,8 @@ def normalize(fibers: Iterable[Sequence[int]]) -> SeifertData:
 
 def euler_number(fibers: Iterable[Sequence[int]]) -> Fraction:
     """Exact Euler number sum(beta_i / alpha_i) of the fibration."""
+    from fractions import Fraction  # here, so that the CLI start-up skips it
+
     return sum((Fraction(beta, alpha) for alpha, beta in check_fibers(fibers)),
                Fraction(0))
 
@@ -125,42 +126,101 @@ def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
     (3,1),(4,1),(4,1) and (1,-1),(3,1),(4,3),(4,3) share a key although
     their Casson-Walker invariants differ.  And no flip reverses the
     orientation, which negates every beta and e, so (2,1),(3,1),(5,1) and
-    (2,-1),(3,-1),(5,-1) get different keys.  The search visits 2^k
-    subsets of the k exceptional fibers in Gray-code order, so each step
-    flips one fiber.  It counts in integers over L, the lcm of the
-    alphas: num is L times the sum above, and a subset is admissible
-    when L divides num.
+    (2,-1),(3,-1),(5,-1) get different keys.
+
+    The search runs over orbit classes, not over the 2^k subsets of the k
+    exceptional fibers.  In a normal form a flip only moves a fiber
+    inside its class {(alpha, s), (alpha, alpha - s)}, s < alpha / 2; an
+    alpha = 2 fiber is always (2, 1) and a flip leaves it fixed.  So a
+    candidate depends only on the vector l, where l_g counts the fibers
+    of class g that show alpha - s, and each such fiber adds
+    w_g = (alpha - 2 s) / alpha to the sum above.  The search visits the
+    prod_g (n_g + 1) vectors l, n_g the size of class g, in a mixed-radix
+    Gray code, so each step moves one l_g by 1.  It counts in integers
+    over L, the lcm of the alphas: num is L times the sum, and l is
+    admissible when L divides num; the new integer term is
+    nb = b - num / L.  Ordering lemma: two sorted fiber lists of equal
+    length compare at the least value whose multiplicities differ, and
+    the list with more of it is the lesser.  That value is the low
+    member (alpha, s) of the first class, in (alpha, s) order, where the
+    vectors differ, so the lists compare as their vectors l do, and the
+    key is the candidate that minimises (nb == 0, nb, l).  Twenty
+    fibers of class (3, 1) and ten each of (5, 1) and (5, 2) thus take
+    21 * 11 * 11 = 2,541 steps, not 2^40.
     """
     return _isomorphism_key(normalize(fibers))
 
 
 def _isomorphism_key(base: SeifertData) -> SeifertData:
     """isomorphism_key on data that is already a normal form."""
-    b = sum(beta for alpha, beta in base if alpha == 1)
-    exc = [f for f in base if f[0] >= 2]
-    # A list, not a generator: math.lcm(*genexpr) in this loop grew the
+    b = 0
+    tagged = []  # (alpha, s, 1 if the fiber shows alpha - s else 0)
+    for alpha, beta in base:
+        if alpha > 2:
+            s = alpha - beta
+            if beta < s:
+                tagged.append((alpha, beta, 0))
+            else:
+                tagged.append((alpha, s, 1))
+        elif alpha == 1:
+            b = beta
+    if not tagged:
+        return base
+    tagged.sort()
+    classes = []  # the (alpha, s) of each class, in increasing order
+    sizes = []  # n_g
+    own = []  # l_g of base
+    for alpha, s, shows_high in tagged:
+        if classes and classes[-1] == (alpha, s):
+            sizes[-1] += 1
+            own[-1] += shows_high
+        else:
+            classes.append((alpha, s))
+            sizes.append(1)
+            own.append(shows_high)
+    # A list, not a generator: math.lcm(*genexpr) in a loop grew the
     # process RSS by about 1.5 MB over 40 passes on CPython 3.11.7.
-    lcm = math.lcm(*[alpha for alpha, _ in exc])
-    steps = [(alpha - 2 * beta) * (lcm // alpha) for alpha, beta in exc]
-    flipped = list(exc)
+    lcm = math.lcm(*[alpha for alpha, _ in classes])
+    # steps[j] is w_j, signed by the way l_j moves next.
+    steps = [(alpha - 2 * s) * (lcm // alpha) for alpha, s in classes]
     num = 0
-    best = base
-    for g in range(1, 1 << len(exc)):
-        i = (g & -g).bit_length() - 1
-        alpha, beta = flipped[i]
-        flipped[i] = (alpha, alpha - beta)
-        num += steps[i]
-        steps[i] = -steps[i]  # flipping fiber i back undoes its step
-        if num % lcm:
-            continue
-        candidate = sorted(flipped)
-        nb = b - num // lcm
-        if nb != 0:
-            candidate.insert(0, (1, nb))
-        candidate = tuple(candidate)
-        if candidate < best:
-            best = candidate
-    return best
+    for w, l in zip(steps, own):
+        num -= w * l
+    # A candidate's rank is nb, or inf when nb = 0 drops the (1, nb) term,
+    # which sorts before every exceptional fiber.  Equal ranks go to the
+    # least l, by the ordering lemma.
+    best_rank = b or math.inf
+    best = own
+    # Loopless reflected mixed-radix Gray code (Knuth, TAOCP 7.2.1.1,
+    # Algorithm H) from l = 0: each step moves one l_j by 1.
+    m = len(classes)
+    high = [0] * m
+    focus = list(range(m + 1))
+    while True:
+        if not num % lcm:
+            rank = b - num // lcm or math.inf
+            if rank < best_rank or rank == best_rank and high < best:
+                best_rank, best = rank, high[:]
+        j = focus[0]
+        if j == m:
+            break
+        focus[0] = 0
+        w = steps[j]
+        num += w
+        l = high[j] = high[j] + (1 if w > 0 else -1)
+        if l == 0 or l == sizes[j]:
+            steps[j] = -w
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+    if best == own:
+        return base
+    fibers = [f for f in base if f[0] == 2]
+    for (alpha, s), n, l in zip(classes, sizes, best):
+        fibers += [(alpha, s)] * (n - l) + [(alpha, alpha - s)] * l
+    fibers.sort()
+    if best_rank != math.inf:
+        fibers.insert(0, (1, best_rank))
+    return tuple(fibers)
 
 
 def nu_of(alpha: int, beta: int) -> int:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -215,10 +216,11 @@ def test_operations_reject_non_manifolds():
 
 
 def test_homeomorphic_twenty_exceptional_fibers_in_seconds():
-    # Each key searches 2^20 flip subsets, which a Fraction sum per subset
-    # (oracles.isomorphism_key_by_fraction_masks) takes tens of seconds
-    # for.  The rewrite shuffles the fibers, shifts one beta by its alpha
-    # with a compensating (1, -1) and adds (1, 0).
+    # Each key searches 2^19 flip vectors: the (2, 1) fiber is fixed and
+    # the other 19 lie in 19 classes of one fiber each.  A Fraction sum
+    # per subset of all 20 (oracles.isomorphism_key_by_fraction_masks)
+    # takes tens of seconds.  The rewrite shuffles the fibers, shifts one
+    # beta by its alpha with a compensating (1, -1) and adds (1, 0).
     fibers = [(alpha, 1) for alpha in range(2, 22)]
     rewrite = fibers[::-1]
     rewrite[4] = (rewrite[4][0], rewrite[4][1] + rewrite[4][0])
@@ -226,3 +228,32 @@ def test_homeomorphic_twenty_exceptional_fibers_in_seconds():
     left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite)
     with deadline(5.0):
         assert mf.homeomorphic(left, right)
+
+
+def _forty_fibers_in_three_classes():
+    # 20 fibers of class (3, 1) and 10 each of (5, 1) and (5, 2): the key
+    # searches 21 * 11 * 11 flip vectors, where a walk over the subsets of
+    # the 40 exceptional fibers would take 2^40 steps.
+    fibers = [(3, 1)] * 10 + [(3, 2)] * 10 + [(5, 1)] * 10 + [(5, 2)] * 10
+    rewrite = fibers[:]
+    random.Random(40).shuffle(rewrite)
+    rewrite[7] = (rewrite[7][0], rewrite[7][1] + rewrite[7][0])
+    return fibers, rewrite + [(1, -1), (1, 0)]
+
+
+def test_homeomorphic_forty_fibers_in_three_classes_within_a_second():
+    fibers, rewrite = _forty_fibers_in_three_classes()
+    left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite)
+    with deadline(1.0):
+        assert mf.homeomorphic(left, right)
+
+
+def test_forty_fibers_with_another_h1_order_are_not_homeomorphic():
+    # (5, 1) -> (5, 3) raises e by 2/5, so the H1 orders differ.
+    fibers, rewrite = _forty_fibers_in_three_classes()
+    i = rewrite.index((5, 1))
+    rewrite[i] = (5, 3)
+    left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite)
+    assert h1(left).order() != h1(right).order()
+    with deadline(1.0):
+        assert not mf.homeomorphic(left, right)

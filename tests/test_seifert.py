@@ -144,6 +144,15 @@ def test_isomorphism_key_equates_flip_families():
     assert seifert.normalize(a) != seifert.normalize(b)
 
 
+def test_isomorphism_key_breaks_a_tie_in_nb_by_the_ordering_lemma():
+    # Flipping all three fibers keeps e = 3/2 and the integer term 0, so
+    # the two candidates tie on nb; the one with more of the least value,
+    # (3, 1), is the lesser.
+    fibers = [(3, 2), (3, 2), (6, 1)]
+    assert seifert.isomorphism_key(fibers) == ((3, 1), (3, 1), (6, 5))
+    assert isomorphism_key_by_fraction_masks(fibers) == ((3, 1), (3, 1), (6, 5))
+
+
 def test_isomorphism_key_agrees_with_isomorphic_seeded():
     rng = random.Random(97)
     pool = [random_fibers(rng, max_len=3, alpha_max=6, beta_max=9)
@@ -171,6 +180,36 @@ def _key_matches_fraction_masks(fibers):
 def test_isomorphism_key_matches_fraction_mask_oracle():
     with deadline(60.0):
         _key_matches_fraction_masks()
+
+
+# _FIBERS almost never repeats an orbit class {(alpha, s), (alpha, alpha - s)},
+# so these lists draw up to 8 exceptional fibers from at most 4 classes with
+# small alphas, each fiber showing s or alpha - s, shifted by a multiple of
+# alpha, among ordinary (1, b) fibers.
+_CLASS = st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]).flatmap(
+    lambda alpha: st.tuples(st.just(alpha), st.sampled_from(
+        [s for s in range(1, alpha) if math.gcd(alpha, s) == 1])))
+
+
+@st.composite
+def _repeated_classes(draw):
+    classes = draw(st.lists(_CLASS, min_size=1, max_size=4))
+    fibers = []
+    for alpha, s in draw(st.lists(st.sampled_from(classes), max_size=8)):
+        beta = draw(st.sampled_from([s, alpha - s]))
+        fibers.append((alpha, beta + alpha * draw(st.integers(-2, 2))))
+    fibers += [(1, b) for b in draw(st.lists(st.integers(-3, 3), max_size=2))]
+    return draw(st.permutations(fibers))
+
+
+@given(_repeated_classes())
+def _key_matches_fraction_masks_on_repeated_classes(fibers):
+    assert seifert.isomorphism_key(fibers) == isomorphism_key_by_fraction_masks(fibers)
+
+
+def test_isomorphism_key_matches_fraction_mask_oracle_on_repeated_classes():
+    with deadline(60.0):
+        _key_matches_fraction_masks_on_repeated_classes()
 
 
 def test_nu_of():

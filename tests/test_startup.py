@@ -2,9 +2,11 @@
 
 Start-up is most of the time of one `nmsflow classify`.  The package keeps
 dataclasses and typing out of its imports, and with them inspect and ast,
-which dataclasses imports.  It also imports every module whose functions
-perfbench/tracing.py traces, since the tracer looks each one up in
-sys.modules and a lazily imported module would be missing there.  The
+which dataclasses imports.  It imports fractions only inside
+seifert.euler_number, so fractions and the decimal and numbers modules it
+imports stay out of the set-up.  It also imports every module whose
+functions perfbench/tracing.py traces, since the tracer looks each one up
+in sys.modules and a lazily imported module would be missing there.  The
 interpreter runs under -S and builds the parser, as the benchmark's set-up
 command does.
 """
@@ -17,7 +19,8 @@ from pathlib import Path
 from test_traced_names import _traced
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNWANTED = {"dataclasses", "typing", "inspect", "ast"}
+UNWANTED = {"dataclasses", "typing", "inspect", "ast",
+            "fractions", "decimal", "numbers"}
 
 
 def _modules_after_cli_setup() -> set[str]:
