@@ -204,7 +204,8 @@ def _three_fibers(f1: tuple[int, int], f2: tuple[int, int]) -> seifert.SeifertDa
 # maps side i's pair (l, m) to what case k reads of it, and the manifold is
 # formula(read1(l1, m1), read2(l2, m2)).  The formula sees nothing else, so
 # two quadruples of one case whose sides read equal give the same manifold;
-# enumerate_invariants factors over that.
+# enumerate_invariants factors over that and evaluates the case formula
+# once per bucket pair.
 _CASES = (
     # 1. l1 = 0, l2 != 0:     L(l2, m2) # RP3
     (_unread, _pair, lambda _, s2: sum_normalize([lens_canonical(*s2), RP3()])),
@@ -324,13 +325,17 @@ def _by_role(side: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int
     return sorted(roles.items())
 
 
-def _buckets(pairs: list[tuple[int, int]], read) -> list[tuple[tuple[int, int], int]]:
-    # (first pair, size) of each bucket of equal reads, in first-pair order.
+def _buckets(pairs: list[tuple[int, int]],
+             read) -> list[tuple[object, tuple[int, int], int]]:
+    # (read, first pair, size) of each bucket of equal reads, in first-pair order.
     buckets: dict[object, list] = {}
     for pair in pairs:
-        bucket = buckets.setdefault(read(*pair), [pair, 0])
-        bucket[1] += 1
-    return [tuple(b) for b in buckets.values()]
+        bucket = buckets.get(r := read(*pair))
+        if bucket is None:
+            buckets[r] = [pair, 1]
+        else:
+            bucket[1] += 1
+    return [(r, pair, n) for r, (pair, n) in buckets.items()]
 
 
 def enumerate_invariants(bound: int) -> list[EnumeratedClass]:
@@ -341,35 +346,42 @@ def enumerate_invariants(bound: int) -> list[EnumeratedClass]:
     split by role: l = 0, |l| = 1 or |l| >= 2.  The two roles alone decide
     the case, since case_predicates tests nothing else.  Within a role
     pair, each side's pairs are bucketed by that case's reads in _CASES,
-    and one quadruple per bucket pair is classified: the first pair of
-    each bucket.  It stands for the whole product, so its
-    count is the product of the two bucket sizes, and it is the product's
-    lexicographically least quadruple.  A class sums the counts of its
-    bucket pairs and takes the least of their examples.  At bound 10 that
-    is 1,895 classifications for 65,792 quadruples.
+    and the case formula is evaluated once per bucket pair, on the two
+    bucket reads: the value classify() gives every quadruple of the
+    product.  The first pairs of the two buckets stand for the product:
+    its count is the product of the two bucket sizes, and its example,
+    their concatenation, is its lexicographically least quadruple.  A
+    class sums the counts of its bucket pairs and takes the least of
+    their examples.  At bound 10 that is 1,895 formula evaluations for
+    65,792 quadruples.
 
-    The homeomorphism key is computed once per distinct classified value,
-    in a memo that lives for one call only.  Classes are ordered by the
-    fixed total order on representatives, so the output is deterministic.
+    Each distinct value is keyed once, in a memo that lives for one call
+    only and maps the value straight to its class's record [count,
+    example, values].  Classes are ordered by the fixed total order on
+    representatives, so the output is deterministic.
     """
     first, second = _sides(bound)
-    keys: dict[Manifold, Manifold] = {}
-    counts: dict[Manifold, int] = {}
-    examples: dict[Manifold, tuple[int, int, int, int]] = {}
-    values: dict[Manifold, set[Manifold]] = {}
+    records: dict[Manifold, list] = {}  # value -> the record of its class
+    classes: dict[Manifold, list] = {}  # key -> [count, example, values]
     for role1, pairs1 in _by_role(first):
         for role2, pairs2 in _by_role(second):
-            read1, read2, _ = _CASES[_case_of(role1, role2) - 1]
+            read1, read2, formula = _CASES[_case_of(role1, role2) - 1]
             buckets2 = _buckets(pairs2, read2)
-            for side1, n1 in _buckets(pairs1, read1):
-                for side2, n2 in buckets2:
-                    manifold = classify(_invariant(side1, side2)).manifold
-                    key = keys.get(manifold)
-                    if key is None:
-                        key = keys[manifold] = homeomorphism_key(manifold)
+            for s1, side1, n1 in _buckets(pairs1, read1):
+                for s2, side2, n2 in buckets2:
+                    manifold = formula(s1, s2)
                     example = side1 + side2
-                    counts[key] = counts.get(key, 0) + n1 * n2
-                    examples[key] = min(examples.get(key, example), example)
-                    values.setdefault(key, set()).add(manifold)
-    return [EnumeratedClass(key, counts[key], examples[key], frozenset(values[key]))
-            for key in sorted(counts, key=sort_key)]
+                    record = records.get(manifold)
+                    if record is None:
+                        key = homeomorphism_key(manifold)
+                        record = classes.get(key)
+                        if record is None:
+                            record = classes[key] = [0, example, []]
+                        record[2].append(manifold)
+                        records[manifold] = record
+                    record[0] += n1 * n2
+                    if example < record[1]:
+                        record[1] = example
+    return [EnumeratedClass(key, count, example, frozenset(values))
+            for key, (count, example, values) in sorted(
+                classes.items(), key=lambda item: sort_key(item[0]))]

@@ -14,9 +14,10 @@ have no cap but Python's digit limit (4,300 digits by default), and bare
 negatives work (`classify 3 -1 5 2`).  `--bound` of
 enumerate must be from 0 to 30, and that of selfcheck from 0 to 15.  The
 caps keep a run to seconds: the output of enumerate grows about as
-bound^4 (39,178 classes at bound 30), and so does the time of selfcheck,
-which classifies every admissible quadruple once (332,352 at bound 15,
-about 6 s and 21 MB peak RSS).
+bound^4 (39,178 classes at bound 30, about 1.6 s and 53 MB peak RSS on
+a shared 2-CPU x86_64 host, Python 3.11.7), and so does the time of
+selfcheck, which classifies every admissible quadruple once (332,352 at
+bound 15, about 6 s and 21 MB peak RSS).
 
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.

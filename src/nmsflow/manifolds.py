@@ -306,8 +306,11 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     Seifert values with <= 2 exceptional fibers resolve to their lens form;
     those with >= 3 keep their fibration but reduce the fibers to
     seifert.isomorphism_key (a fibration with >= 3 exceptional fibers is
-    never a lens space).  Sums resolve summand-wise.  Raises TypeError on
-    anything but a Manifold.
+    never a lens space).  Sums resolve summand-wise.  A Seifert value whose
+    fibers are already their key is returned itself, not rebuilt: values
+    are immutable, and the rebuild would only re-run normalize and
+    check_fibers on a normal form.  Raises TypeError on anything but a
+    Manifold.
 
     Equal keys do not always mean homeomorphic values, nor different keys
     different manifolds (ROADMAP.md, item 1):
@@ -324,7 +327,8 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     if isinstance(m, SeifertOverS2):
         if not seifert._not_lens(m.fibers):
             return seifert_to_lens(m.fibers)
-        return SeifertOverS2(seifert._isomorphism_key(m.fibers))
+        key = seifert._isomorphism_key(m.fibers)
+        return m if key is m.fibers else SeifertOverS2(key)
     if isinstance(m, ConnectedSum):
         return sum_normalize([homeomorphism_key(s) for s in m.summands])
     if isinstance(m, Manifold):

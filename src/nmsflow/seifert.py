@@ -152,7 +152,8 @@ def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
 
 
 def _isomorphism_key(base: SeifertData) -> SeifertData:
-    """isomorphism_key on data that is already a normal form."""
+    """isomorphism_key on data that is already a normal form; returns base
+    itself, not a copy, when base is its own key."""
     b = 0
     tagged = []  # (alpha, s, 1 if the fiber shows alpha - s else 0)
     for alpha, beta in base:

@@ -207,13 +207,19 @@ def test_enumerate_invariants_keys_each_value_once(monkeypatch):
 
 
 def test_enumerate_invariants_classifies_once_per_side_class_pair(monkeypatch):
+    # enumerate evaluates the formulas of _CASES on bucket reads, without
+    # classify(); count the formula evaluations.
     calls = []
 
-    def counted(inv):
-        calls.append(inv)
-        return classify(inv)
+    def counted(formula):
+        def evaluate(s1, s2):
+            calls.append((s1, s2))
+            return formula(s1, s2)
+        return evaluate
 
-    monkeypatch.setattr(classifier, "classify", counted)
+    monkeypatch.setattr(classifier, "_CASES", tuple(
+        (read1, read2, counted(formula))
+        for read1, read2, formula in classifier._CASES))
     groups = enumerate_invariants(6)
     assert sum(c.count for c in groups) == 9312
     assert len(calls) == 447

@@ -5,6 +5,7 @@ import pytest
 
 import nmsflow.manifolds as mf
 from nmsflow import seifert
+from nmsflow.classifier import enumerate_invariants
 from nmsflow.homology import AbelianGroup, h1
 from timelimit import deadline
 
@@ -183,6 +184,16 @@ def test_homeomorphism_key_idempotent():
         k = mf.homeomorphism_key(m)
         assert mf.homeomorphism_key(k) == k
         assert mf.homeomorphic(m, k)
+
+
+def test_homeomorphism_key_idempotent_on_enumerated_values():
+    values = set().union(*(c.values for c in enumerate_invariants(8)))
+    for m in values:
+        k = mf.homeomorphism_key(m)
+        assert mf.homeomorphism_key(k) == k
+    k = mf.homeomorphism_key(mf.seifert_over_s2([(3, 2), (3, 2), (6, 1)]))
+    assert k.fibers == ((3, 1), (3, 1), (6, 5))
+    assert mf.homeomorphism_key(k) is k
 
 
 def test_hand_built_sum_is_canonicalized():

@@ -56,14 +56,19 @@ def test_raw_fiber_entry_points_reject_invalid_data(entry):
 
 
 def test_fiber_data_validated_once_per_value(monkeypatch):
-    # Per side of homeomorphic: the SeifertOverS2 constructor of the key.
-    # The key reduces the stored normal form through the unvalidated core
-    # seifert._isomorphism_key, and h1 reads the fibers that the
-    # constructor validated when parsing.
+    # Per side of homeomorphic: the SeifertOverS2 constructor of the key,
+    # and only when the key differs from the stored normal form.  The key
+    # reduces that form through the unvalidated core
+    # seifert._isomorphism_key and returns the value itself when nothing
+    # changes, and h1 reads the fibers that the constructor validated when
+    # parsing.
     left = parse_manifold(
         "SFS(S2; (2,1),(3,1),(5,2),(7,3),(11,4),(13,5)) # L(7,2)")
     right = parse_manifold(
         "SFS(S2; (13,5),(2,1),(3,1),(5,2),(7,3),(11,4)) # L(7,3)")
+    # (3,2),(3,2),(6,1) keys to (3,1),(3,1),(6,5): that side is rebuilt.
+    rebuilt = parse_manifold("SFS(S2; (3,2),(3,2),(6,1)) # L(5,2)")
+    keyed = parse_manifold("SFS(S2; (3,1),(3,1),(6,5)) # L(5,3)")
     check = seifert.check_fibers
     calls = []
 
@@ -73,10 +78,14 @@ def test_fiber_data_validated_once_per_value(monkeypatch):
 
     monkeypatch.setattr(seifert, "check_fibers", counted)
     assert not homeomorphic(left, right)
-    assert len(calls) == 2
-    calls.clear()
+    assert len(calls) == 0
     assert h1(left).order() == 7 * 72377  # |e| * prod(alpha) = 72377
     assert len(calls) == 0
+    assert homeomorphic(rebuilt, keyed)
+    assert calls == [((3, 1), (3, 1), (6, 5))]
+    calls.clear()
+    assert homeomorphic(rebuilt, rebuilt)
+    assert len(calls) == 2
 
 
 def test_normalize_frozen_values():
