@@ -22,7 +22,7 @@ from .manifolds import (
     S2xS1,
     Sphere,
     Value,
-    _set_field,
+    _slot_setters,
     homeomorphism_key,
     lens_canonical,
     seifert_over_s2,
@@ -56,11 +56,11 @@ class FlowInvariant(Value):
 
     def __init__(self, l1: int, m1: int, l2: int, m2: int,
                  kind: InvariantKind) -> None:
-        _set_field(self, "l1", l1)
-        _set_field(self, "m1", m1)
-        _set_field(self, "l2", l2)
-        _set_field(self, "m2", m2)
-        _set_field(self, "kind", kind)
+        _set_l1(self, l1)
+        _set_m1(self, m1)
+        _set_l2(self, l2)
+        _set_m2(self, m2)
+        _set_kind(self, kind)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -74,6 +74,9 @@ class FlowInvariant(Value):
 
     def quadruple(self) -> tuple[int, int, int, int]:
         return (self.l1, self.m1, self.l2, self.m2)
+
+
+_set_l1, _set_m1, _set_l2, _set_m2, _set_kind = _slot_setters(FlowInvariant)
 
 
 _MARKER = (0, 2)
@@ -164,11 +167,11 @@ class ClassificationResult(Value):
     def __init__(self, invariant: FlowInvariant, case: int, manifold: Manifold,
                  intermediate_seifert: seifert.SeifertData | None,
                  lens_before_rp3_sum: LensParams | None) -> None:
-        _set_field(self, "invariant", invariant)
-        _set_field(self, "case", case)
-        _set_field(self, "manifold", manifold)
-        _set_field(self, "intermediate_seifert", intermediate_seifert)
-        _set_field(self, "lens_before_rp3_sum", lens_before_rp3_sum)
+        _set_invariant(self, invariant)
+        _set_case(self, case)
+        _set_manifold(self, manifold)
+        _set_intermediate_seifert(self, intermediate_seifert)
+        _set_lens_before_rp3_sum(self, lens_before_rp3_sum)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -181,6 +184,10 @@ class ClassificationResult(Value):
     def __hash__(self):
         return hash((self.invariant, self.case, self.manifold,
                      self.intermediate_seifert, self.lens_before_rp3_sum))
+
+
+(_set_invariant, _set_case, _set_manifold, _set_intermediate_seifert,
+ _set_lens_before_rp3_sum) = _slot_setters(ClassificationResult)
 
 
 def _unread(l: int, m: int) -> None:
@@ -244,7 +251,7 @@ def classify(inv: FlowInvariant) -> ClassificationResult:
     Lens parameters are canonicalized immediately, so degenerate parameters
     collapse to their atoms.
     """
-    l1, m1, l2, m2 = inv.quadruple()
+    l1, m1, l2, m2 = inv.l1, inv.m1, inv.l2, inv.m2
     case = _case_of(l1, l2)
     read1, read2, formula = _CASES[case - 1]
     s1, s2 = read1(l1, m1), read2(l2, m2)
@@ -273,20 +280,17 @@ def _sides(bound: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
             [p for p in pairs if _admissible(*p, 2)])
 
 
-def _invariant(side1: tuple[int, int], side2: tuple[int, int]) -> FlowInvariant:
-    return FlowInvariant(*side1, *side2, _kind(*side1))
-
-
 def valid_invariants(bound: int):
     """All admissible quadruples with |entries| <= bound, lexicographically.
 
     Distinct quadruples are distinct entries even when symmetries of the
-    underlying flows identify them.
+    underlying flows identify them.  The kind is read once per side-1 pair.
     """
     first, second = _sides(bound)
-    for side1 in first:
-        for side2 in second:
-            yield _invariant(side1, side2)
+    for l1, m1 in first:
+        kind = _kind(l1, m1)
+        for l2, m2 in second:
+            yield FlowInvariant(l1, m1, l2, m2, kind)
 
 
 class EnumeratedClass(Value):
@@ -301,10 +305,10 @@ class EnumeratedClass(Value):
     def __init__(self, representative: Manifold, count: int,
                  example: tuple[int, int, int, int],
                  values: frozenset[Manifold]) -> None:
-        _set_field(self, "representative", representative)
-        _set_field(self, "count", count)
-        _set_field(self, "example", example)
-        _set_field(self, "values", values)
+        _set_representative(self, representative)
+        _set_count(self, count)
+        _set_example(self, example)
+        _set_values(self, values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -315,6 +319,10 @@ class EnumeratedClass(Value):
 
     def __hash__(self):
         return hash((self.representative, self.count, self.example, self.values))
+
+
+_set_representative, _set_count, _set_example, _set_values = _slot_setters(
+    EnumeratedClass)
 
 
 def _by_role(side: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:

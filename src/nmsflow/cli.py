@@ -17,21 +17,22 @@ caps keep a run to seconds: the output of enumerate grows about as
 bound^4 (39,178 classes at bound 30, about 1.6 s and 53 MB peak RSS on
 a shared 2-CPU x86_64 host, Python 3.11.7), and so does the time of
 selfcheck, which classifies every admissible quadruple once (332,352 at
-bound 15, about 6 s and 21 MB peak RSS).
+bound 15, about 4 s and 19 MB peak RSS).
 
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
 
 Start-up is most of the time of one `classify`: the package imports
 neither dataclasses nor typing, nor fractions outside
-seifert.euler_number, and importing nmsflow.cli loads every module whose
-functions the benchmark traces, selfcheck and surgery included.
+seifert.euler_number, json outside `classify --json`, or random outside
+the three seeded selfcheck checks, and importing nmsflow.cli loads every
+module whose functions the benchmark traces, selfcheck and surgery
+included.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .classifier import (
@@ -138,6 +139,8 @@ def _cmd_classify(args) -> int:
             "intermediate_seifert":
                 None if inter is None else [list(f) for f in inter],
         }
+        import json  # here, so that the CLI start-up skips it
+
         print(json.dumps(payload, sort_keys=True))
         return 0
     print(f"case {res.case}: {res.manifold}")

@@ -23,7 +23,7 @@ from .manifolds import (
     SeifertOverS2,
     Sphere,
     Value,
-    _set_field,
+    _slot_setters,
 )
 
 
@@ -48,8 +48,8 @@ class AbelianGroup(Value):
                     f"invariant factors must form a divisibility chain, "
                     f"got {prev} before {d}")
             prev = d
-        _set_field(self, "free_rank", free_rank)
-        _set_field(self, "torsion", torsion)
+        _set_free_rank(self, free_rank)
+        _set_torsion(self, torsion)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -76,6 +76,9 @@ class AbelianGroup(Value):
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
+
+
+_set_free_rank, _set_torsion = _slot_setters(AbelianGroup)
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:

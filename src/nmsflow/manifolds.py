@@ -33,9 +33,16 @@ from collections.abc import Iterable, Sequence
 from . import seifert
 
 
-# How an __init__ stores a field past Value.__setattr__; a global name
-# costs less per call than looking up object.__setattr__ each time.
-_set_field = object.__setattr__
+def _slot_setters(cls) -> tuple:
+    """The __set__ of each slot of cls, in __slots__ order.
+
+    This is how an __init__ stores a field past Value.__setattr__: each
+    value class binds its setters to module globals once, right after its
+    class body (`_set_p, _set_q = _slot_setters(Lens)`), and a call to the
+    slot descriptor's own __set__ costs less than object.__setattr__,
+    which looks the descriptor up by name on every store.
+    """
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Value:
@@ -43,11 +50,12 @@ class Value:
 
     A subclass names its fields in __slots__, in the order of its
     constructor's parameters, and its __init__ stores them once through
-    _set_field.  Each subclass also writes its own __eq__ (same class and
-    equal fields, else NotImplemented) and __hash__ (the hash of the field
-    tuple): spelled out field by field, they are as fast as what
-    dataclasses would generate, without its import and codegen at
-    start-up.  This base makes fields read-only, gives the repr
+    the slot setters that _slot_setters binds after the class body; that
+    is the one way a field is stored.  Each subclass also writes its own
+    __eq__ (same class and equal fields, else NotImplemented) and __hash__
+    (the hash of the field tuple): spelled out field by field, they are as
+    fast as what dataclasses would generate, without its import and
+    codegen at start-up.  This base makes fields read-only, gives the repr
     `Name(field=value, ...)`, and lets copy and pickle rebuild a value
     through its constructor, of which every value is a fixed point.
     """
@@ -92,8 +100,8 @@ class LensParams(Value):
 
     def __init__(self, p: int, q: int) -> None:
         _check_coprime(p, q)
-        _set_field(self, "p", p)
-        _set_field(self, "q", q)
+        _set_params_p(self, p)
+        _set_params_q(self, q)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -102,6 +110,9 @@ class LensParams(Value):
 
     def __hash__(self):
         return hash((self.p, self.q))
+
+
+_set_params_p, _set_params_q = _slot_setters(LensParams)
 
 
 class Manifold(Value):
@@ -154,8 +165,8 @@ class Lens(Manifold):
             raise InvalidLensParameters(
                 f"L({p},{q}) is an atom; use lens_canonical")
         q %= n
-        _set_field(self, "p", n)
-        _set_field(self, "q", min(q, n - q))
+        _set_p(self, n)
+        _set_q(self, min(q, n - q))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -169,6 +180,9 @@ class Lens(Manifold):
         return f"L({self.p},{self.q})"
 
 
+_set_p, _set_q = _slot_setters(Lens)
+
+
 class SeifertOverS2(Manifold):
     """Seifert fibration over the sphere, stored as seifert.normalize(fibers)."""
     __slots__ = ("fibers",)
@@ -178,7 +192,7 @@ class SeifertOverS2(Manifold):
         if not fibers:
             raise seifert.InvalidFiber(
                 "an empty normal form denotes S2xS1; use seifert_over_s2")
-        _set_field(self, "fibers", fibers)
+        _set_fibers(self, fibers)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -191,6 +205,9 @@ class SeifertOverS2(Manifold):
     def __str__(self) -> str:
         body = ",".join(f"({a},{b})" for a, b in self.fibers)
         return f"SFS(S2; {body})"
+
+
+_set_fibers, = _slot_setters(SeifertOverS2)
 
 
 class ConnectedSum(Manifold):
@@ -206,7 +223,7 @@ class ConnectedSum(Manifold):
                 raise TypeError(f"not a manifold value: {s!r}")
             if isinstance(s, (Sphere, ConnectedSum)):
                 raise ValueError(f"summand {s} is S3 or a sum; use sum_normalize")
-        _set_field(self, "summands", tuple(sorted(summands, key=sort_key)))
+        _set_summands(self, tuple(sorted(summands, key=sort_key)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -218,6 +235,9 @@ class ConnectedSum(Manifold):
 
     def __str__(self) -> str:
         return " # ".join(str(s) for s in self.summands)
+
+
+_set_summands, = _slot_setters(ConnectedSum)
 
 
 _ATOM_RANK = {Sphere: 0, S2xS1: 1, RP3: 4}
@@ -303,8 +323,9 @@ def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
 def homeomorphism_key(m: Manifold) -> Manifold:
     """The key behind homeomorphic and enumerate: a value per class.
 
-    Seifert values with <= 2 exceptional fibers resolve to their lens form;
-    those with >= 3 keep their fibration but reduce the fibers to
+    Seifert values with <= 2 exceptional fibers resolve to their lens form,
+    read off the stored normal form by the unvalidated core
+    seifert._lens_parameters; those with >= 3 keep their fibration but reduce the fibers to
     seifert.isomorphism_key (a fibration with >= 3 exceptional fibers is
     never a lens space).  Sums resolve summand-wise.  A Seifert value whose
     fibers are already their key is returned itself, not rebuilt: values
@@ -326,7 +347,7 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     """
     if isinstance(m, SeifertOverS2):
         if not seifert._not_lens(m.fibers):
-            return seifert_to_lens(m.fibers)
+            return lens_canonical(*seifert._lens_parameters(m.fibers))
         key = seifert._isomorphism_key(m.fibers)
         return m if key is m.fibers else SeifertOverS2(key)
     if isinstance(m, ConnectedSum):

@@ -21,8 +21,8 @@ runs in the public functions of this module that take raw fiber pairs
 lens_parameters) and in homology.h1_seifert_presentation.  The
 SeifertOverS2 constructor stores normalize(fibers), so the fibers of a
 value are a validated normal form, and its readers (the homeomorphism key,
-homology.h1) call the unvalidated cores _not_lens, _isomorphism_key and
-homology._h1_seifert on them.
+homology.h1) call the unvalidated cores _not_lens, _isomorphism_key,
+_lens_parameters and homology._h1_seifert on them.
 
 This module is deliberately free of manifold types; it only manipulates
 fiber data.  The bridge to canonical manifold values (seifert_to_lens and
@@ -91,11 +91,13 @@ def normalize(fibers: Iterable[Sequence[int]]) -> SeifertData:
 
 
 def euler_number(fibers: Iterable[Sequence[int]]) -> Fraction:
-    """Exact Euler number sum(beta_i / alpha_i) of the fibration."""
+    """Exact Euler number sum(beta_i / alpha_i) of the fibration, summed
+    in integers over the lcm of the alphas and reduced once."""
     from fractions import Fraction  # here, so that the CLI start-up skips it
 
-    return sum((Fraction(beta, alpha) for alpha, beta in check_fibers(fibers)),
-               Fraction(0))
+    data = check_fibers(fibers)
+    den = math.lcm(*[alpha for alpha, _ in data])
+    return Fraction(sum(beta * (den // alpha) for alpha, beta in data), den)
 
 
 def not_lens_obstruction(fibers: Iterable[Sequence[int]]) -> bool:
@@ -252,7 +254,11 @@ def lens_parameters(fibers: Iterable[Sequence[int]]) -> tuple[int, int]:
     alpha2 * xi2 - nu2 * beta2 = 1, so |p| is the order of H1.  Raises
     NotALens on >= 3 exceptional fibers.
     """
-    norm = normalize(fibers)
+    return _lens_parameters(normalize(fibers))
+
+
+def _lens_parameters(norm: SeifertData) -> tuple[int, int]:
+    """lens_parameters on data that is already a normal form."""
     if _not_lens(norm):
         raise NotALens(
             f"{norm}: >= 3 exceptional fibers, the fibration is not a lens space")

@@ -13,14 +13,17 @@ return 3.  The three per-quadruple checks are classes: add takes one
 classification result and verdict gives (ok, detail).  run_selfcheck
 feeds all three in one pass that classifies every admissible quadruple
 once and keeps no result, so its memory grows with the number of
-distinct manifold values, not of quadruples.  The checks over
-homeomorphism classes read the factored classes of enumerate_invariants.
+distinct manifold values, not of quadruples.  Their add compares and
+counts every result, but memoizes, per instance and so per run, what is
+a pure function of the result's fields: the case predicates per
+(l1, l2), h1 and its order per value, the expected group per l.  The
+checks over homeomorphism classes read the factored classes of
+enumerate_invariants.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 from . import seifert
 from .classifier import (
@@ -56,16 +59,25 @@ class CasePartition:
 
     classify reads its case from the role table behind
     classifier._case_of, so this compares that table with the paper's
-    case_predicates."""
+    case_predicates.  The predicates read (l1, l2) alone, so they are
+    evaluated once per distinct pair; every quadruple is still compared
+    and counted."""
 
     def __init__(self):
         self.count = 0
         self.bad = 0
+        self._case = {}  # (l1, l2) -> the one case that holds, or 0
 
     def add(self, r):
         self.count += 1
-        hits = case_predicates(r.invariant.l1, r.invariant.l2)
-        if sum(hits) != 1 or hits.index(True) + 1 != r.case:
+        inv = r.invariant
+        pair = (inv.l1, inv.l2)
+        case = self._case.get(pair)
+        if case is None:
+            hits = case_predicates(*pair)
+            case = self._case[pair] = (hits.index(True) + 1 if sum(hits) == 1
+                                       else 0)
+        if case != r.case:
             self.bad += 1
 
     def verdict(self):
@@ -97,41 +109,48 @@ def _fiber_order(fibers) -> int:
 class H1CaseFormulas:
     """h1 of each classifier output against the per-case closed form.
 
-    h1 and the case-7 fiber order are computed once per distinct value;
-    the first three mismatching quadruples are kept, in input order."""
+    h1 with its order and the case-7 fiber order are computed once per
+    distinct value, and the expected group of cases 1 to 3 once per l;
+    every quadruple is still compared, and the first three mismatching
+    quadruples are kept, in input order."""
 
     def __init__(self):
         self.count = 0
         self.bad = []
-        self._h1 = {}
-        self._order = {}
+        self._h1 = {}  # value -> (h1, its order)
+        self._order = {}  # case-7 value -> _fiber_order of its fibers
+        self._sum_group = {}  # l -> _expected_sum_group(l)
+        self._trivial = AbelianGroup(0)
 
     def add(self, r):
         self.count += 1
         m = r.manifold
-        group = self._h1.get(m)
-        if group is None:
-            group = self._h1[m] = h1(m)
-        l1, m1, l2, m2 = r.invariant.quadruple()
-        if r.case == 1:
-            ok = group == _expected_sum_group(l2)
-        elif r.case == 2:
-            ok = group == _expected_sum_group(l1)
-        elif r.case == 3:
-            ok = group == _expected_sum_group(0)
-        elif r.case == 4:
-            ok = group.order() == abs(2 * m2 - l2)
-        elif r.case == 5:
-            ok = group.order() == abs(2 * m1 - l1)
-        elif r.case == 6:
-            ok = group == AbelianGroup(0)
+        known = self._h1.get(m)
+        if known is None:
+            group = h1(m)
+            known = self._h1[m] = (group, group.order())
+        group, order = known
+        inv = r.invariant
+        case = r.case
+        if case <= 3:
+            l = inv.l2 if case == 1 else inv.l1 if case == 2 else 0
+            expected = self._sum_group.get(l)
+            if expected is None:
+                expected = self._sum_group[l] = _expected_sum_group(l)
+            ok = group == expected
+        elif case == 4:
+            ok = order == abs(2 * inv.m2 - inv.l2)
+        elif case == 5:
+            ok = order == abs(2 * inv.m1 - inv.l1)
+        elif case == 6:
+            ok = group == self._trivial
         else:
-            order = self._order.get(m)
-            if order is None:
-                order = self._order[m] = _fiber_order(m.fibers)
-            ok = group.order() == order
+            fiber_order = self._order.get(m)
+            if fiber_order is None:
+                fiber_order = self._order[m] = _fiber_order(m.fibers)
+            ok = order == fiber_order
         if not ok and len(self.bad) < 3:
-            self.bad.append((l1, m1, l2, m2))
+            self.bad.append(inv.quadruple())
 
     def verdict(self):
         return (not self.bad,
@@ -272,7 +291,9 @@ def check_snf(*, count=300, max_size=4, seed=_SEED, box_caps=_BOX_CAPS):
     The quotient is counted by closure, without Smith normal form: it is
     the subgroup of (Z/|det|)^n generated by the adjugate's rows, grown
     from 0."""
-    rng = random.Random(seed)
+    from random import Random  # here, so that the CLI start-up skips it
+
+    rng = Random(seed)
     bad = 0
     boxed = 0
     for _ in range(count):
@@ -317,7 +338,9 @@ def check_seifert_forms(*, count=200, seed=_SEED + 1):
     h1's closed form on the normal form against the relation matrix of
     the raw data; the isomorphism key ignores order and ordinary (1, 0)
     fibers."""
-    rng = random.Random(seed)
+    from random import Random  # here, so that the CLI start-up skips it
+
+    rng = Random(seed)
     bad = 0
     for _ in range(count):
         s = random_fibers(rng)
@@ -342,7 +365,9 @@ def check_key_h1(*, count=200, max_len=4, seed=_SEED + 2):
     """h1 of the homeomorphism key of random Seifert data equals h1 of the
     data's relation-matrix presentation: the lens conversion, the
     isomorphism key and h1's closed form keep H1."""
-    rng = random.Random(seed)
+    from random import Random  # here, so that the CLI start-up skips it
+
+    rng = Random(seed)
     bad = []
     for _ in range(count):
         s = random_fibers(rng, max_len)
@@ -399,12 +424,13 @@ def run_selfcheck(bound: int, write=print) -> int:
     }
     fed = {name: check(*(inputs[k] for k in needs[1:]))
            for name, check, needs in CHECKS if needs[:1] == ("results",)}
+    adds = tuple(check.add for check in fed.values())
     count = 0
     for inv in valid_invariants(bound):
         r = classify(inv)
         count += 1
-        for check in fed.values():
-            check.add(r)
+        for add in adds:
+            add(r)
     write(f"selfcheck: bound {bound}, {count} admissible quadruples")
     failures = 0
     for name, check, needs in CHECKS:

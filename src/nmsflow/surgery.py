@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from . import seifert
-from .manifolds import Value, _set_field
+from .manifolds import Value, _slot_setters
 
 
 class InvalidFraming(ValueError):
@@ -23,8 +23,8 @@ class Framing(Value):
     def __init__(self, beta: int, alpha: int) -> None:
         if math.gcd(beta, alpha) != 1:
             raise InvalidFraming(f"framing ({beta}, {alpha}) is not coprime")
-        _set_field(self, "beta", beta)
-        _set_field(self, "alpha", alpha)
+        _set_beta(self, beta)
+        _set_alpha(self, alpha)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -33,6 +33,9 @@ class Framing(Value):
 
     def __hash__(self):
         return hash((self.beta, self.alpha))
+
+
+_set_beta, _set_alpha = _slot_setters(Framing)
 
 
 def framing_equivalent(a: Framing, b: Framing) -> bool:

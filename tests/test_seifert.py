@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nmsflow import seifert
 from nmsflow.expressions import parse_manifold
@@ -88,6 +88,18 @@ def test_fiber_data_validated_once_per_value(monkeypatch):
     assert len(calls) == 2
 
 
+def test_lens_branch_of_the_key_validates_nothing(monkeypatch):
+    # A value with at most 2 exceptional fibers keys to its lens form
+    # through seifert._lens_parameters, on the stored normal form.
+    two = parse_manifold("SFS(S2; (2,1),(3,1)) # SFS(S2; (1,2),(5,2))")
+    calls = []
+    check = seifert.check_fibers
+    monkeypatch.setattr(seifert, "check_fibers",
+                        lambda fibers: calls.append(fibers) or check(fibers))
+    assert homeomorphic(two, parse_manifold("L(5,1) # L(12,5)"))
+    assert calls == []
+
+
 def test_normalize_frozen_values():
     assert seifert.normalize([(2, 3)]) == ((1, 1), (2, 1))
     assert seifert.normalize([(5, -2)]) == ((1, -1), (5, 3))
@@ -119,6 +131,21 @@ def test_euler_number_frozen_values():
     assert seifert.euler_number([(1, 1), (2, 1)]) == Fraction(3, 2)
     assert seifert.euler_number([]) == 0
     assert seifert.euler_number([(5, -2)]) == Fraction(-2, 5)
+
+
+_ENTRY = st.integers(-10**6, 10**6)
+_FIBER = st.one_of(
+    st.tuples(st.just(1), _ENTRY),
+    st.tuples(st.integers(1, 10**6), _ENTRY).filter(
+        lambda f: f[0] == 1 or math.gcd(*f) == 1))
+
+
+@given(st.lists(_FIBER, max_size=8))
+@example([])
+def test_euler_number_is_the_fraction_sum(fibers):
+    e = seifert.euler_number(fibers)
+    assert isinstance(e, Fraction)
+    assert e == sum(Fraction(b, a) for a, b in fibers)
 
 
 def test_not_lens_obstruction():

@@ -4,7 +4,9 @@ Start-up is most of the time of one `nmsflow classify`.  The package keeps
 dataclasses and typing out of its imports, and with them inspect and ast,
 which dataclasses imports.  It imports fractions only inside
 seifert.euler_number, so fractions and the decimal and numbers modules it
-imports stay out of the set-up.  It also imports every module whose
+imports stay out of the set-up.  Likewise json is imported only by
+classify --json, and random, with the bisect module it imports, only by
+the seeded selfcheck checks.  It also imports every module whose
 functions perfbench/tracing.py traces, since the tracer looks each one up
 in sys.modules and a lazily imported module would be missing there.  The
 interpreter runs under -S and builds the parser, as the benchmark's set-up
@@ -20,7 +22,7 @@ from test_traced_names import _traced
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 UNWANTED = {"dataclasses", "typing", "inspect", "ast",
-            "fractions", "decimal", "numbers"}
+            "fractions", "decimal", "numbers", "json", "random", "bisect"}
 
 
 def _modules_after_cli_setup() -> set[str]:
