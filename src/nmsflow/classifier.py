@@ -16,7 +16,6 @@ from enum import Enum
 
 from . import seifert
 from .manifolds import (
-    LensParams,
     Manifold,
     RP3,
     S2xS1,
@@ -51,32 +50,36 @@ class InvariantKind(Enum):
 
 
 class FlowInvariant(Value):
-    """A validated quadruple; build through validate_invariant()."""
-    __slots__ = ("l1", "m1", "l2", "m2", "kind")
+    """A validated quadruple; build through validate_invariant().
 
-    def __init__(self, l1: int, m1: int, l2: int, m2: int,
-                 kind: InvariantKind) -> None:
+    The quadruple is all it stores: its kind is read off side 1.
+    """
+    __slots__ = ("l1", "m1", "l2", "m2")
+
+    def __init__(self, l1: int, m1: int, l2: int, m2: int) -> None:
         _set_l1(self, l1)
         _set_m1(self, m1)
         _set_l2(self, l2)
         _set_m2(self, m2)
-        _set_kind(self, kind)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.l1 == other.l1 and self.m1 == other.m1
-                    and self.l2 == other.l2 and self.m2 == other.m2
-                    and self.kind == other.kind)
+                    and self.l2 == other.l2 and self.m2 == other.m2)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.l1, self.m1, self.l2, self.m2, self.kind))
+        return hash((self.l1, self.m1, self.l2, self.m2))
+
+    @property
+    def kind(self) -> InvariantKind:
+        return _kind(self.l1, self.m1)
 
     def quadruple(self) -> tuple[int, int, int, int]:
         return (self.l1, self.m1, self.l2, self.m2)
 
 
-_set_l1, _set_m1, _set_l2, _set_m2, _set_kind = _slot_setters(FlowInvariant)
+_set_l1, _set_m1, _set_l2, _set_m2 = _slot_setters(FlowInvariant)
 
 
 _MARKER = (0, 2)
@@ -107,9 +110,8 @@ def validate_invariant(l1: int, m1: int, l2: int, m2: int) -> FlowInvariant:
     is exactly the marker (0, 2) and gcd(l2, m2) = 1.  Anything else raises
     InvalidFlowInvariant naming the violated rule, side 2's first.
     """
-    kind = kind_of(l1, m1, l2, m2)
-    if kind is not None:
-        return FlowInvariant(l1, m1, l2, m2, kind)
+    if kind_of(l1, m1, l2, m2) is not None:
+        return FlowInvariant(l1, m1, l2, m2)
     if not _admissible(l2, m2, 2):
         raise InvalidFlowInvariant(
             f"(l2, m2) = ({l2}, {m2}) is not coprime", "non-coprime-pair")
@@ -135,14 +137,12 @@ def case_predicates(l1: int, l2: int) -> tuple[bool, ...]:
 
 
 # The role table: _ROLE_CASES[r1][r2] is the case number for side roles
-# r_i = min(|l_i|, 2), that is l = 0, |l| = 1 or |l| >= 2.  It restates
-# case_predicates, which tests nothing but those roles, as a lookup, and
-# selfcheck's case-partition check compares the two.
-_ROLE_CASES = (
-    (3, 1, 1),
-    (2, 6, 4),
-    (2, 5, 7),
-)
+# r_i = min(|l_i|, 2), that is l = 0, |l| = 1 or |l| >= 2.  case_predicates
+# tests nothing but those roles, so the table is the predicates evaluated
+# at the role values; selfcheck's case-partition check compares the two
+# on every quadruple.
+_ROLE_CASES = tuple(tuple(case_predicates(r1, r2).index(True) + 1
+                          for r2 in range(3)) for r1 in range(3))
 
 
 def _case_of(l1: int, l2: int) -> int:
@@ -157,37 +157,33 @@ class ClassificationResult(Value):
     l1 * l2 != 0).  In case 7 it fibers `manifold`.  In cases 4 and 5 it is
     the formal triple only, in general not a fibration of `manifold`: their
     H1 differ on 2,600 of the 3,536 case 4 and 5 results with entries up
-    to 6.  `lens_before_rp3_sum` keeps the raw lens parameters of the
-    non-RP3 summand in cases 1 to 3.  The input invariant is retained, so
-    sign provenance survives the |l| multiplicities in the output.
+    to 6.  The input invariant is retained, so sign provenance survives
+    the |l| multiplicities in the output, and the raw parameters of the
+    lens summand in cases 1 to 3 are read off it.
     """
-    __slots__ = ("invariant", "case", "manifold", "intermediate_seifert",
-                 "lens_before_rp3_sum")
+    __slots__ = ("invariant", "case", "manifold", "intermediate_seifert")
 
     def __init__(self, invariant: FlowInvariant, case: int, manifold: Manifold,
-                 intermediate_seifert: seifert.SeifertData | None,
-                 lens_before_rp3_sum: LensParams | None) -> None:
+                 intermediate_seifert: seifert.SeifertData | None) -> None:
         _set_invariant(self, invariant)
         _set_case(self, case)
         _set_manifold(self, manifold)
         _set_intermediate_seifert(self, intermediate_seifert)
-        _set_lens_before_rp3_sum(self, lens_before_rp3_sum)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.invariant == other.invariant and self.case == other.case
                     and self.manifold == other.manifold
-                    and self.intermediate_seifert == other.intermediate_seifert
-                    and self.lens_before_rp3_sum == other.lens_before_rp3_sum)
+                    and self.intermediate_seifert == other.intermediate_seifert)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.invariant, self.case, self.manifold,
-                     self.intermediate_seifert, self.lens_before_rp3_sum))
+                     self.intermediate_seifert))
 
 
-(_set_invariant, _set_case, _set_manifold, _set_intermediate_seifert,
- _set_lens_before_rp3_sum) = _slot_setters(ClassificationResult)
+_set_invariant, _set_case, _set_manifold, _set_intermediate_seifert = (
+    _slot_setters(ClassificationResult))
 
 
 def _unread(l: int, m: int) -> None:
@@ -256,14 +252,12 @@ def classify(inv: FlowInvariant) -> ClassificationResult:
     read1, read2, formula = _CASES[case - 1]
     s1, s2 = read1(l1, m1), read2(l2, m2)
     manifold = formula(s1, s2)
-    inter = lens_params = None
+    inter = None
     if case == 7:  # the formula read both fibers already
         inter = _three_fibers(s1, s2)
     elif l1 * l2 != 0:
         inter = intermediate_seifert(inv)
-    else:  # cases 1 to 3; in case 3, side 2 is the formal (0, +/-1) summand
-        lens_params = LensParams(l2, m2) if l1 == 0 else LensParams(l1, m1)
-    return ClassificationResult(inv, case, manifold, inter, lens_params)
+    return ClassificationResult(inv, case, manifold, inter)
 
 
 def classify_quadruple(l1: int, m1: int, l2: int, m2: int) -> ClassificationResult:
@@ -284,13 +278,12 @@ def valid_invariants(bound: int):
     """All admissible quadruples with |entries| <= bound, lexicographically.
 
     Distinct quadruples are distinct entries even when symmetries of the
-    underlying flows identify them.  The kind is read once per side-1 pair.
+    underlying flows identify them.
     """
     first, second = _sides(bound)
     for l1, m1 in first:
-        kind = _kind(l1, m1)
         for l2, m2 in second:
-            yield FlowInvariant(l1, m1, l2, m2, kind)
+            yield FlowInvariant(l1, m1, l2, m2)
 
 
 class EnumeratedClass(Value):

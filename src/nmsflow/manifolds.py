@@ -17,8 +17,8 @@ so that rendered sums read the way the classification states them, e.g.
 "L(5,2) # RP3".
 
 How values are built.  Every value class of the library (the manifolds
-here, LensParams, homology.AbelianGroup, surgery.Framing and the
-classifier's FlowInvariant, ClassificationResult and EnumeratedClass) is a
+here, homology.AbelianGroup, surgery.Framing and the classifier's
+FlowInvariant, ClassificationResult and EnumeratedClass) is a
 hand-written slotted subclass of Value, not a dataclass.  Its __init__
 validates its arguments and stores the canonical form once, with no later
 repair step, so a value is canonical by construction.  Value states what
@@ -89,30 +89,6 @@ def _check_coprime(p: int, q: int) -> None:
     elif math.gcd(p, q) != 1:
         raise InvalidLensParameters(
             f"invalid-lens-parameters: ({p}, {q}) is not coprime")
-
-
-class LensParams(Value):
-    """Raw, unnormalized lens parameters (p, q).
-
-    Valid iff gcd(|p|, q) = 1; for p = 0 that forces q = +/-1.
-    """
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int, q: int) -> None:
-        _check_coprime(p, q)
-        _set_params_p(self, p)
-        _set_params_q(self, q)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-
-_set_params_p, _set_params_q = _slot_setters(LensParams)
 
 
 class Manifold(Value):
@@ -284,15 +260,6 @@ def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
     except seifert.InvalidFiber:
         seifert.normalize(fibers)  # raises again if the data is invalid
         return S2xS1()
-
-
-def seifert_to_lens(fibers: Iterable[Sequence[int]]) -> Manifold:
-    """The lens-space form of data with at most 2 exceptional fibers.
-
-    Raises seifert.NotALens when >= 3 exceptional fibers are present.
-    """
-    p, q = seifert.lens_parameters(fibers)
-    return lens_canonical(p, q)
 
 
 def sum_normalize(summands: Iterable[Manifold]) -> Manifold:

@@ -25,8 +25,8 @@ homology.h1) call the unvalidated cores _not_lens, _isomorphism_key,
 _lens_parameters and homology._h1_seifert on them.
 
 This module is deliberately free of manifold types; it only manipulates
-fiber data.  The bridge to canonical manifold values (seifert_to_lens and
-friends) lives in manifolds.py.
+fiber data.  The bridge to canonical manifold values (seifert_over_s2 and
+homeomorphism_key) lives in manifolds.py.
 """
 
 from __future__ import annotations

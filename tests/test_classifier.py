@@ -19,7 +19,6 @@ from nmsflow.classifier import (
 )
 from nmsflow.manifolds import (
     Lens,
-    LensParams,
     RP3,
     S2xS1,
     SeifertOverS2,
@@ -88,17 +87,14 @@ def test_classify_worked_examples():
 
 def test_classify_case_structure():
     res = classify_quadruple(0, 1, 5, 2)
-    assert res.lens_before_rp3_sum == LensParams(5, 2)
     assert res.intermediate_seifert is None
 
     res = classify_quadruple(5, 2, 0, 1)
     assert res.case == 2
-    assert res.lens_before_rp3_sum == LensParams(5, 2)
 
     res = classify_quadruple(0, 2, 0, -1)
     assert res.case == 3
     assert str(res.manifold) == "S2xS1 # RP3"
-    assert res.lens_before_rp3_sum == LensParams(0, -1)
 
     res = classify_quadruple(1, 0, 2, 1)
     assert res.case == 4 and res.manifold == S2xS1()
@@ -108,7 +104,6 @@ def test_classify_case_structure():
 
     res = classify_quadruple(-1, 0, 1, 0)
     assert res.case == 6 and res.manifold == Sphere()
-    assert res.lens_before_rp3_sum is None
 
     res = classify_quadruple(2, -1, 3, -2)
     assert res.case == 7
@@ -321,9 +316,15 @@ def test_classify_intermediate_seifert_is_the_shared_read():
 
 def test_flow_invariant_is_frozen():
     inv = validate_invariant(2, 1, 3, 2)
-    assert inv == FlowInvariant(2, 1, 3, 2, InvariantKind.ESSENTIAL)
+    assert inv == FlowInvariant(2, 1, 3, 2)
     with pytest.raises(AttributeError):
         inv.l1 = 5
+    # the kind is read off side 1, not stored
+    marker = FlowInvariant(0, 2, 5, 2)
+    assert marker.kind is InvariantKind.INESSENTIAL
+    assert "kind" not in FlowInvariant.__slots__
+    with pytest.raises(AttributeError):
+        marker.kind = InvariantKind.ESSENTIAL
 
 
 def test_classifier_module_exports():

@@ -52,7 +52,7 @@ def test_lens_value_validation():
     with pytest.raises(mf.InvalidLensParameters):
         mf.Lens(4, 2)
     with pytest.raises(mf.InvalidLensParameters):
-        mf.LensParams(0, 2)
+        mf.Lens(0, 2)
     # the constructor stores the canonical form; atoms need lens_canonical
     assert mf.Lens(5, 3) == mf.Lens(5, 2)
     with pytest.raises(mf.InvalidLensParameters):
@@ -140,13 +140,13 @@ def test_seifert_over_s2_factory():
         mf.SeifertOverS2(())
 
 
-def test_seifert_to_lens_frozen():
-    assert mf.seifert_to_lens([]) == mf.S2xS1()
-    assert mf.seifert_to_lens([(3, 2)]) == mf.RP3()
-    assert mf.seifert_to_lens([(2, 1), (3, 1)]) == mf.Lens(5, 1)
-    assert mf.seifert_to_lens([(2, 1), (3, -1)]) == mf.Sphere()
-    with pytest.raises(seifert.NotALens):
-        mf.seifert_to_lens([(2, 1), (3, 1), (5, 2)])
+def test_homeomorphism_key_lens_forms_frozen():
+    def key(fibers):
+        return mf.homeomorphism_key(mf.seifert_over_s2(fibers))
+    assert key([]) == mf.S2xS1()
+    assert key([(3, 2)]) == mf.RP3()
+    assert key([(2, 1), (3, 1)]) == mf.Lens(5, 1)
+    assert key([(2, 1), (3, -1)]) == mf.Sphere()
 
 
 def test_homeomorphic_bridges_seifert_and_lens():

@@ -1,4 +1,4 @@
-"""Value semantics of the package's twelve value classes.
+"""Value semantics of the package's eleven value classes.
 
 Each is a slotted subclass of manifolds.Value: equal fields give equal
 values with the hash of the field tuple, fields are read-only, values of
@@ -13,7 +13,6 @@ import pytest
 from nmsflow import seifert
 from nmsflow.classifier import (
     FlowInvariant,
-    InvariantKind,
     classify_quadruple,
     enumerate_invariants,
 )
@@ -22,7 +21,6 @@ from nmsflow.manifolds import (
     ConnectedSum,
     InvalidLensParameters,
     Lens,
-    LensParams,
     RP3,
     S2xS1,
     SeifertOverS2,
@@ -31,12 +29,9 @@ from nmsflow.manifolds import (
 )
 from nmsflow.surgery import Framing
 
-E = InvariantKind.ESSENTIAL
-
 # (make, fields, repr): `make` builds a fresh value whose fields, in
 # constructor order, are `fields`.
 CASES = [
-    (lambda: LensParams(7, 2), (7, 2), "LensParams(p=7, q=2)"),
     (Sphere, (), "Sphere()"),
     (S2xS1, (), "S2xS1()"),
     (RP3, (), "RP3()"),
@@ -49,28 +44,36 @@ CASES = [
     (lambda: AbelianGroup(2, [2, 4]), (2, (2, 4)),
      "AbelianGroup(free_rank=2, torsion=(2, 4))"),
     (lambda: Framing(-1, 0), (-1, 0), "Framing(beta=-1, alpha=0)"),
-    (lambda: FlowInvariant(2, 1, 3, 2, E), (2, 1, 3, 2, E),
-     "FlowInvariant(l1=2, m1=1, l2=3, m2=2, "
-     "kind=<InvariantKind.ESSENTIAL: 'essential'>)"),
+    (lambda: FlowInvariant(2, 1, 3, 2), (2, 1, 3, 2),
+     "FlowInvariant(l1=2, m1=1, l2=3, m2=2)"),
     (lambda: classify_quadruple(0, 1, 5, 2),
-     (FlowInvariant(0, 1, 5, 2, E), 1, ConnectedSum([Lens(5, 2), RP3()]), None,
-      LensParams(5, 2)),
-     "ClassificationResult(invariant=FlowInvariant(l1=0, m1=1, l2=5, m2=2, "
-     "kind=<InvariantKind.ESSENTIAL: 'essential'>), case=1, "
-     "manifold=ConnectedSum(summands=(Lens(p=5, q=2), RP3())), "
-     "intermediate_seifert=None, lens_before_rp3_sum=LensParams(p=5, q=2))"),
+     (FlowInvariant(0, 1, 5, 2), 1, ConnectedSum([Lens(5, 2), RP3()]), None),
+     "ClassificationResult(invariant=FlowInvariant(l1=0, m1=1, l2=5, m2=2), "
+     "case=1, manifold=ConnectedSum(summands=(Lens(p=5, q=2), RP3())), "
+     "intermediate_seifert=None)"),
     (lambda: enumerate_invariants(1)[1], (RP3(), 24, (-1, -1, 0, -1), frozenset({RP3()})),
      "EnumeratedClass(representative=RP3(), count=24, example=(-1, -1, 0, -1), "
      "values=frozenset({RP3()}))"),
+    (lambda: FlowInvariant(0, 2, 5, 2), (0, 2, 5, 2),
+     "FlowInvariant(l1=0, m1=2, l2=5, m2=2)"),
+    (lambda: classify_quadruple(2, 1, 3, 2),
+     (FlowInvariant(2, 1, 3, 2), 7, SeifertOverS2([(2, 1), (2, 1), (3, 2)]),
+      ((2, 1), (2, 1), (3, 2))),
+     "ClassificationResult(invariant=FlowInvariant(l1=2, m1=1, l2=3, m2=2), "
+     "case=7, manifold=SeifertOverS2(fibers=((2, 1), (2, 1), (3, 2))), "
+     "intermediate_seifert=((2, 1), (2, 1), (3, 2)))"),
 ]
-IDS = [repr(make()).split("(")[0] for make, _, _ in CASES]
+NAMES = [repr(make()).split("(")[0] for make, _, _ in CASES]
+# A class's first row is named after it; a further row adds its ordinal.
+IDS = [name + (f"-{NAMES[:i].count(name) + 1}" if name in NAMES[:i] else "")
+       for i, name in enumerate(NAMES)]
 
 
 def test_every_value_class_is_covered():
-    assert sorted(IDS) == sorted({
-        "LensParams", "Sphere", "S2xS1", "RP3", "Lens", "SeifertOverS2",
+    assert set(NAMES) == {
+        "Sphere", "S2xS1", "RP3", "Lens", "SeifertOverS2",
         "ConnectedSum", "AbelianGroup", "Framing", "FlowInvariant",
-        "ClassificationResult", "EnumeratedClass"})
+        "ClassificationResult", "EnumeratedClass"}
 
 
 @pytest.mark.parametrize("make, fields, text", CASES, ids=IDS)
@@ -110,8 +113,7 @@ def test_hash_is_that_of_the_field_tuple():
 
 def test_same_fields_in_other_classes_are_not_equal():
     assert Sphere() != S2xS1() != RP3() != Sphere()
-    assert Lens(7, 2) != LensParams(7, 2)
-    assert LensParams(7, 2) != Framing(7, 2)
+    assert Lens(7, 2) != Framing(7, 2)
     assert Lens(7, 2) != (7, 2)
     assert len({Sphere(), S2xS1(), RP3(), Sphere()}) == 3
 
@@ -121,10 +123,6 @@ def test_constructors_raise_on_invalid_input():
         Lens(2, 1)
     with pytest.raises(InvalidLensParameters):
         Lens(6, 4)
-    with pytest.raises(InvalidLensParameters):
-        LensParams(6, 4)
-    with pytest.raises(InvalidLensParameters):
-        LensParams(0, 3)
     with pytest.raises(seifert.InvalidFiber):
         SeifertOverS2([])
     with pytest.raises(seifert.InvalidFiber):
