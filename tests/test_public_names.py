@@ -27,13 +27,12 @@ def _references(node):
 def test_every_public_name_is_used_in_the_package():
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py"))}
+    references = {module: set(_references(tree)) for module, tree in modules.items()}
     traced = set(_traced())
     unused = []
     for module, tree in modules.items():
-        elsewhere = set()
-        for other, other_tree in modules.items():
-            if other != module:
-                elsewhere.update(_references(other_tree))
+        elsewhere = set().union(*(refs for other, refs in references.items()
+                                  if other != module))
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_") or (module, node.name) in traced
