@@ -73,7 +73,8 @@ class FlowInvariant(Value):
 
     @property
     def kind(self) -> InvariantKind:
-        return _kind(self.l1, self.m1)
+        return (InvariantKind.INESSENTIAL if (self.l1, self.m1) == _MARKER
+                else InvariantKind.ESSENTIAL)
 
     def quadruple(self) -> tuple[int, int, int, int]:
         return (self.l1, self.m1, self.l2, self.m2)
@@ -90,19 +91,6 @@ def _admissible(l: int, m: int, side: int) -> bool:
     return math.gcd(l, m) == 1 or (side == 1 and (l, m) == _MARKER)
 
 
-def _kind(l1: int, m1: int) -> InvariantKind:
-    # The kind of an admissible quadruple, read off its side 1.
-    return (InvariantKind.INESSENTIAL if (l1, m1) == _MARKER
-            else InvariantKind.ESSENTIAL)
-
-
-def kind_of(l1: int, m1: int, l2: int, m2: int) -> InvariantKind | None:
-    """The kind of a quadruple, or None when it is not admissible."""
-    if _admissible(l1, m1, 1) and _admissible(l2, m2, 2):
-        return _kind(l1, m1)
-    return None
-
-
 def validate_invariant(l1: int, m1: int, l2: int, m2: int) -> FlowInvariant:
     """Check admissibility and classify the invariant's kind.
 
@@ -110,11 +98,11 @@ def validate_invariant(l1: int, m1: int, l2: int, m2: int) -> FlowInvariant:
     is exactly the marker (0, 2) and gcd(l2, m2) = 1.  Anything else raises
     InvalidFlowInvariant naming the violated rule, side 2's first.
     """
-    if kind_of(l1, m1, l2, m2) is not None:
-        return FlowInvariant(l1, m1, l2, m2)
     if not _admissible(l2, m2, 2):
         raise InvalidFlowInvariant(
             f"(l2, m2) = ({l2}, {m2}) is not coprime", "non-coprime-pair")
+    if _admissible(l1, m1, 1):
+        return FlowInvariant(l1, m1, l2, m2)
     if l1 == 0:
         raise InvalidFlowInvariant(
             f"(l1, m1) = (0, {m1}) is neither coprime nor the marker (0, 2)",

@@ -11,7 +11,8 @@ Integers on the command line, the four operands of classify and every
 `--bound`, are written as an optional "-" and ASCII digits; anything else,
 such as "+2", "1_0" or Arabic-Indic digits, is a usage error.  Operands
 have no cap but Python's digit limit (4,300 digits by default), and bare
-negatives work (`classify 3 -1 5 2`).  `--bound` of
+negatives work (`classify 3 -1 5 2`).  Answers may be longer than the
+limit (`_render`).  `--bound` of
 enumerate must be from 0 to 30, and that of selfcheck from 0 to 15.  The
 caps keep a run to seconds: the output of enumerate grows about as
 bound^4 (39,178 classes at bound 30, about 1.6 s and 53 MB peak RSS on
@@ -25,7 +26,7 @@ error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
 Start-up is most of the time of one `classify`: the package imports
 neither dataclasses nor typing, nor fractions outside
 seifert.euler_number, json outside `classify --json`, or random outside
-the three seeded selfcheck checks, and importing nmsflow.cli loads every
+the seeded selfcheck check, and importing nmsflow.cli loads every
 module whose functions the benchmark traces, selfcheck and surgery
 included.
 """
@@ -118,14 +119,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args) -> int:
+def _render(render, *args) -> str:
+    """render(*args), with Python's int-to-str digit limit lifted if the
+    text outgrows it: the limit bounds each input integer, not the answer,
+    whose digits stay linear in the input's.  Within it, no extra work."""
     try:
-        res = classify_quadruple(args.l1, args.m1, args.l2, args.m2)
-    except InvalidFlowInvariant as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    group = h1(res.manifold)
-    prime = is_prime(res.manifold)
+        return render(*args)
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return render(*args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _classify_report(args, res, group, prime) -> str:
     if args.json:
         inter = res.intermediate_seifert
         payload = {
@@ -141,14 +150,23 @@ def _cmd_classify(args) -> int:
         }
         import json  # here, so that the CLI start-up skips it
 
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"case {res.case}: {res.manifold}")
-    print(f"h1: {group}")
-    print(f"prime: {'true' if prime else 'false'}")
+        return json.dumps(payload, sort_keys=True)
+    lines = [f"case {res.case}: {res.manifold}", f"h1: {group}",
+             f"prime: {'true' if prime else 'false'}"]
     if res.intermediate_seifert is not None:
         rendered = ",".join(f"({a},{b})" for a, b in res.intermediate_seifert)
-        print(f"intermediate seifert: {rendered}")
+        lines.append(f"intermediate seifert: {rendered}")
+    return "\n".join(lines)
+
+
+def _cmd_classify(args) -> int:
+    try:
+        res = classify_quadruple(args.l1, args.m1, args.l2, args.m2)
+    except InvalidFlowInvariant as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(_render(_classify_report, args, res, h1(res.manifold),
+                  is_prime(res.manifold)))
     return 0
 
 
@@ -169,7 +187,7 @@ def _cmd_h1(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(h1(manifold))
+    print(_render(str, h1(manifold)))
     return 0
 
 

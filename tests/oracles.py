@@ -13,21 +13,21 @@ result instead of each distinct value once, and the order of a lattice
 quotient by counting residues over a box instead of growing a subgroup.
 Tests compare the two routes.  invariant_factors_of_pair uses the
 package's own gcd and lcm rule, so only sum_torsion_by_snf checks h1 of
-a sum independently.  The cofactor and lattice-count oracle for Smith
-normal form lives in `nmsflow.selfcheck`, whose shipped battery needs it.
+a sum independently.  check_snf tests Smith normal form against
+cofactor arithmetic and a lattice quotient counted by subgroup closure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from nmsflow.classifier import classify, valid_invariants
-from nmsflow.homology import cokernel
+from nmsflow.homology import cokernel, smith_normal_form
 from nmsflow.manifolds import homeomorphism_key, sort_key
 from nmsflow.seifert import normalize
-from nmsflow.selfcheck import _adjugate
 
 
 def lens_equivalent_bruteforce(pa, qa, pb, qb) -> bool:
@@ -159,6 +159,98 @@ def enumerate_bruteforce(bound):
         result = classify(inv)
         groups.setdefault(homeomorphism_key(result.manifold), []).append(result)
     return sorted(groups.items(), key=lambda kv: sort_key(kv[0]))
+
+
+def _det(m) -> int:
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * _det(minor)
+    return total
+
+
+def _adjugate(m):
+    n = len(m)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1:]
+                     for k, row in enumerate(m) if k != i]
+            adj[j][i] = (-1) ** (i + j) * (_det(minor) if minor else 1)
+    return adj
+
+
+def _coker_order_box(m, det: int) -> int:
+    # v ~ w in Z^n / rowspan iff v*adj == w*adj (mod det), so the quotient
+    # is the subgroup of (Z/|det|)^n that the rows of adj generate: grow it
+    # breadth-first from 0, adding each row, and count it.
+    d = abs(det)
+    rows = [tuple(x % d for x in row) for row in _adjugate(m)]
+    seen = {(0,) * len(m)}
+    frontier = list(seen)
+    while frontier:
+        grown = []
+        for v in frontier:
+            for row in rows:
+                w = tuple((a + b) % d for a, b in zip(v, row))
+                if w not in seen:
+                    seen.add(w)
+                    grown.append(w)
+        frontier = grown
+    return len(seen)
+
+
+def _chain_ok(diag) -> bool:
+    for i in range(1, len(diag)):
+        if diag[i - 1] == 0:
+            if diag[i] != 0:
+                return False
+        elif diag[i] % diag[i - 1] != 0:
+            return False
+    return all(d >= 0 for d in diag)
+
+
+_BOX_CAPS = {1: 30, 2: 30, 3: 30}
+
+
+def check_snf(*, count=300, max_size=4, seed=0x3A7D, box_caps=_BOX_CAPS):
+    """Smith normal form of `count` random matrices with up to `max_size`
+    rows and columns and entries in [-9, 9]: min(rows, cols) diagonal
+    entries forming a divisor chain, product |det| for square matrices by
+    cofactor expansion, and, for an n x n matrix with 0 < |det| <=
+    box_caps[n], |det| elements in the lattice quotient Z^n / rowspan.
+    The quotient is counted by closure, without Smith normal form: it is
+    the subgroup of (Z/|det|)^n generated by the adjugate's rows, grown
+    from 0."""
+    rng = random.Random(seed)
+    bad = 0
+    boxed = 0
+    for _ in range(count):
+        n = rng.randint(1, max_size)
+        cols = rng.randint(1, max_size)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(n)]
+        diag = smith_normal_form(m)
+        if len(diag) != min(n, cols) or not _chain_ok(diag):
+            bad += 1
+            continue
+        if n == cols:
+            det = _det(m)
+            if math.prod(diag) != abs(det):
+                bad += 1
+                continue
+            if 0 < abs(det) <= box_caps.get(n, 0):
+                boxed += 1
+                if _coker_order_box(m, det) != abs(det):
+                    bad += 1
+    return (bad == 0,
+            f"{count} random matrices: chains ok, |det| preserved, "
+            f"{boxed} lattice quotients counted"
+            if bad == 0 else f"{bad} violations")
 
 
 def coker_order_by_box(m, det):

@@ -29,12 +29,15 @@ from nmsflow.selfcheck import (
     CasePartition,
     H1CaseFormulas,
     check_framing_involution,
-    check_key_h1,
-    check_snf,
+    check_seifert_forms,
     random_fibers,
     run_selfcheck,
 )
-from oracles import lens_equivalent_bruteforce, seifert_isomorphic_bruteforce
+from oracles import (
+    check_snf,
+    lens_equivalent_bruteforce,
+    seifert_isomorphic_bruteforce,
+)
 from timelimit import deadline
 
 GOLDEN = Path(__file__).parent / "data" / "golden_classify.tsv"
@@ -297,7 +300,7 @@ def test_criterion_9_selfcheck():
 
 def test_criterion_10_key_preserves_h1():
     t0 = time.monotonic()
-    ok, detail = check_key_h1(count=3000, max_len=6)
+    ok, detail = check_seifert_forms(count=3000, max_len=6)
     elapsed = time.monotonic() - t0
     _report(10, "key preserves h1", ok and elapsed < 10.0,
             f"up to 6 fibers: {detail}, {elapsed:.1f}s (budget 10s)")

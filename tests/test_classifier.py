@@ -13,7 +13,6 @@ from nmsflow.classifier import (
     classify_quadruple,
     enumerate_invariants,
     intermediate_seifert,
-    kind_of,
     valid_invariants,
     validate_invariant,
 )
@@ -31,36 +30,24 @@ from oracles import enumerate_bruteforce
 from timelimit import deadline
 
 
-def test_kind_of():
-    assert kind_of(0, 2, 5, 2) is InvariantKind.INESSENTIAL
-    assert kind_of(0, 1, 5, 2) is InvariantKind.ESSENTIAL
-    assert kind_of(3, 5, -1, 0) is InvariantKind.ESSENTIAL
-    assert kind_of(0, 3, 5, 2) is None
-    assert kind_of(2, 4, 5, 2) is None
-    assert kind_of(0, 2, 4, 2) is None
-
-
 def test_validate_invariant_rules():
     inv = validate_invariant(0, 2, 5, 2)
     assert inv.kind is InvariantKind.INESSENTIAL
     assert inv.quadruple() == (0, 2, 5, 2)
     assert validate_invariant(1, 0, 1, 1).kind is InvariantKind.ESSENTIAL
+    assert validate_invariant(0, 1, 5, 2).kind is InvariantKind.ESSENTIAL
+    assert validate_invariant(3, 5, -1, 0).kind is InvariantKind.ESSENTIAL
 
-    with pytest.raises(InvalidFlowInvariant) as err:
-        validate_invariant(2, 4, 1, 0)
-    assert err.value.rule == "non-coprime-pair"
-
-    with pytest.raises(InvalidFlowInvariant) as err:
-        validate_invariant(0, 3, 1, 0)
-    assert err.value.rule == "malformed-inessential-marker"
-
-    with pytest.raises(InvalidFlowInvariant) as err:
-        validate_invariant(0, 2, 2, 4)
-    assert err.value.rule == "non-coprime-pair"
-
-    with pytest.raises(InvalidFlowInvariant) as err:
-        validate_invariant(0, -2, 1, 0)
-    assert err.value.rule == "malformed-inessential-marker"
+    for quad, rule in (((2, 4, 1, 0), "non-coprime-pair"),
+                       ((2, 4, 5, 2), "non-coprime-pair"),
+                       ((0, 3, 1, 0), "malformed-inessential-marker"),
+                       ((0, 3, 5, 2), "malformed-inessential-marker"),
+                       ((0, 2, 2, 4), "non-coprime-pair"),
+                       ((0, 2, 4, 2), "non-coprime-pair"),
+                       ((0, -2, 1, 0), "malformed-inessential-marker")):
+        with pytest.raises(InvalidFlowInvariant) as err:
+            validate_invariant(*quad)
+        assert err.value.rule == rule, quad
 
 
 def test_case_predicates_partition_exhaustively():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -172,7 +173,38 @@ def test_selfcheck_command(capsys):
               if line.startswith("PASS ")]
     assert passed == ["case-partition", "h1-case-formulas",
                       "h1-on-homeo-classes", "case7-obstructions",
-                      "framing-involution", "snf-vs-cofactors",
-                      "seifert-normal-forms", "key-preserves-h1",
+                      "framing-involution", "seifert-normal-forms",
                       "render-parse-roundtrip"]
-    assert out.splitlines()[-1] == "selfcheck: all 9 hard checks passed"
+    assert out.splitlines()[-1] == "selfcheck: all 7 hard checks passed"
+
+
+def test_answers_past_the_digit_limit_print_in_full(capsys):
+    # Python's int-to-str limit (4,300 digits) bounds each input integer,
+    # but not the answer: here case 4 gives p = A + 2B, with 4,301 digits,
+    # and h1 of the Seifert space has 5,003.  Both print in full, and the
+    # limit still rejects a 4,301-digit input.
+    limit = sys.get_int_max_str_digits()
+    a, b = "9" * 4300, "9" * 4299 + "8"
+    p = "2" + "9" * 4299 + "5"
+    assert main(["classify", "1", "0", "-" + a, b]) == 0
+    assert capsys.readouterr().out == (
+        f"case 4: L({p},{b})\nh1: Z/{p}\nprime: true\n"
+        f"intermediate seifert: (2,1),(1,0),({a},{b})\n")
+    assert main(["classify", "1", "0", "-" + a, b, "--json"]) == 0
+    assert capsys.readouterr().out == (
+        f'{{"canonical": "L({p},{b})", "case": 4, '
+        f'"h1": {{"free_rank": 0, "torsion": [{p}]}}, '
+        f'"input": [1, 0, -{a}, {b}], '
+        f'"intermediate_seifert": [[2, 1], [1, 0], [{a}, {b}]], '
+        f'"kind": "essential", "prime": true}}\n')
+    big = "1" + "0" * 2501  # 10^2501; the order is 10^5002 + 17 10^2501 + 21
+    assert main(["h1", f"SFS(S2; ({big},1),({big[:-1]}3,1),(7,1))"]) == 0
+    assert capsys.readouterr().out == (
+        "Z/1" + "0" * 2499 + "17" + "0" * 2499 + "21\n")
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "1", "0", "-" + a + "9", b])
+    assert exc.value.code == 2
+    assert "integer of 4301 digits is too long" in capsys.readouterr().err
+    assert main(["h1", f"L({a}9,1)"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    _coker_order_box,
+    _det,
+    check_snf,
     coker_order_by_box,
     invariant_factors_of_pair,
     sum_torsion_by_snf,
@@ -31,7 +34,6 @@ from nmsflow.manifolds import (
     seifert_over_s2,
     sum_normalize,
 )
-from nmsflow.selfcheck import _coker_order_box, _det, check_snf
 
 
 def test_abelian_group_str():

@@ -6,6 +6,7 @@ import pytest
 import nmsflow.manifolds as mf
 from nmsflow import seifert
 from nmsflow.classifier import enumerate_invariants
+from nmsflow.expressions import parse_manifold
 from nmsflow.homology import AbelianGroup, h1
 from timelimit import deadline
 
@@ -164,6 +165,24 @@ def test_homeomorphic_seifert_flip_family():
     b = mf.seifert_over_s2([(1, 1), (2, 1), (4, 1), (4, 1)])
     assert a != b
     assert mf.homeomorphic(a, b)
+
+
+# The regression set of ROADMAP.md, item 1: each pair with its right
+# answer.  All five are answered wrongly today; a change that fixes one
+# takes its mark off.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("left, right, homeomorphic", [
+    pytest.param("SFS(S2; (3,1),(4,1),(4,1))",
+                 "SFS(S2; (1,-1),(3,1),(4,3),(4,3))", False, id="P1"),
+    pytest.param("SFS(S2; (2,1),(3,1),(5,1))",
+                 "SFS(S2; (2,-1),(3,-1),(5,-1))", True, id="P2"),
+    pytest.param("L(7,2)", "L(7,4)", True, id="P3"),
+    pytest.param("L(7,2) # L(7,2)", "L(7,2) # L(7,5)", False, id="P4"),
+    pytest.param("L(7,3) # L(7,4)", "L(7,2) # L(7,5)", True, id="P5"),
+])
+def test_homeomorphic_regression_set(left, right, homeomorphic):
+    assert mf.homeomorphic(parse_manifold(left),
+                           parse_manifold(right)) is homeomorphic
 
 
 def test_homeomorphic_sums_as_multisets():

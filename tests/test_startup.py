@@ -6,7 +6,7 @@ which dataclasses imports.  It imports fractions only inside
 seifert.euler_number, so fractions and the decimal and numbers modules it
 imports stay out of the set-up.  Likewise json is imported only by
 classify --json, and random, with the bisect module it imports, only by
-the seeded selfcheck checks.  It also imports every module whose
+the seeded selfcheck check.  It also imports every module whose
 functions perfbench/tracing.py traces, since the tracer looks each one up
 in sys.modules and a lazily imported module would be missing there.  The
 interpreter runs under -S and builds the parser, as the benchmark's set-up
