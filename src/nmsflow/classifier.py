@@ -92,7 +92,7 @@ def _admissible(l: int, m: int, side: int) -> bool:
 
 
 def validate_invariant(l1: int, m1: int, l2: int, m2: int) -> FlowInvariant:
-    """Check admissibility and classify the invariant's kind.
+    """Check admissibility and build the invariant.
 
     Essential: gcd(l1, m1) = 1 and gcd(l2, m2) = 1.  Inessential: (l1, m1)
     is exactly the marker (0, 2) and gcd(l2, m2) = 1.  Anything else raises
