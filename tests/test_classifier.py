@@ -30,20 +30,27 @@ from oracles import enumerate_bruteforce
 from timelimit import deadline
 
 
+def test_kind_of():
+    assert validate_invariant(0, 2, 5, 2).kind is InvariantKind.INESSENTIAL
+    assert validate_invariant(0, 1, 5, 2).kind is InvariantKind.ESSENTIAL
+    assert validate_invariant(3, 5, -1, 0).kind is InvariantKind.ESSENTIAL
+    for quad, rule in (((0, 3, 5, 2), "malformed-inessential-marker"),
+                       ((2, 4, 5, 2), "non-coprime-pair"),
+                       ((0, 2, 4, 2), "non-coprime-pair")):
+        with pytest.raises(InvalidFlowInvariant) as err:
+            validate_invariant(*quad)
+        assert err.value.rule == rule, quad
+
+
 def test_validate_invariant_rules():
     inv = validate_invariant(0, 2, 5, 2)
     assert inv.kind is InvariantKind.INESSENTIAL
     assert inv.quadruple() == (0, 2, 5, 2)
     assert validate_invariant(1, 0, 1, 1).kind is InvariantKind.ESSENTIAL
-    assert validate_invariant(0, 1, 5, 2).kind is InvariantKind.ESSENTIAL
-    assert validate_invariant(3, 5, -1, 0).kind is InvariantKind.ESSENTIAL
 
     for quad, rule in (((2, 4, 1, 0), "non-coprime-pair"),
-                       ((2, 4, 5, 2), "non-coprime-pair"),
                        ((0, 3, 1, 0), "malformed-inessential-marker"),
-                       ((0, 3, 5, 2), "malformed-inessential-marker"),
                        ((0, 2, 2, 4), "non-coprime-pair"),
-                       ((0, 2, 4, 2), "non-coprime-pair"),
                        ((0, -2, 1, 0), "malformed-inessential-marker")):
         with pytest.raises(InvalidFlowInvariant) as err:
             validate_invariant(*quad)
