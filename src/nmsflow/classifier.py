@@ -21,10 +21,10 @@ from .manifolds import (
     S2xS1,
     Sphere,
     Value,
+    _seifert,
     _slot_setters,
     homeomorphism_key,
     lens_canonical,
-    seifert_over_s2,
     sort_key,
     sum_normalize,
 )
@@ -183,8 +183,11 @@ def _pair(l: int, m: int) -> tuple[int, int]:
 
 
 def _fiber(l: int, m: int) -> tuple[int, int]:
-    # The intermediate fiber of one side: (|l|, m^-1 mod |l|).
-    return (abs(l), seifert.nu_of(abs(l), m))
+    # The intermediate fiber of one side: (|l|, m^-1 mod |l|), in (0, |l|)
+    # for |l| >= 2.  seifert.nu_of without its checks: validate_invariant
+    # has checked gcd(l, m) = 1.
+    n = abs(l)
+    return (n, pow(m, -1, n))
 
 
 def _three_fibers(f1: tuple[int, int], f2: tuple[int, int]) -> seifert.SeifertData:
@@ -211,16 +214,19 @@ _CASES = (
     # 6. |l1 * l2| = 1:       S3
     (_unread, _unread, lambda _, __: Sphere()),
     # 7. |l1| > 1, |l2| > 1:  SFS(S2; (2,1), (|l1|, beta1), (|l2|, beta2))
-    (_fiber, _fiber, lambda f1, f2: seifert_over_s2(_three_fibers(f1, f2))),
+    # Sorted, the three fibers are their own normal form: each beta is in
+    # (0, alpha), so there is no integer term.
+    (_fiber, _fiber, lambda f1, f2: _seifert(tuple(sorted(_three_fibers(f1, f2))))),
 )
 
 
 def intermediate_seifert(inv: FlowInvariant) -> seifert.SeifertData:
     """Unreduced fiber data (2,1), (|l1|, beta1), (|l2|, beta2).
 
-    beta_i = seifert.nu_of(|l_i|, m_i), the representative of m_i^-1 (mod
-    |l_i|) in (0, |l_i|), with 0 at multiplicity 1.  Defined only when
-    l1 * l2 != 0; ordinary fibers are kept, nothing is sorted or absorbed.
+    beta_i is the representative of m_i^-1 (mod |l_i|) in (0, |l_i|), with
+    0 at multiplicity 1, as seifert.nu_of(|l_i|, m_i) gives it.  Defined
+    only when l1 * l2 != 0; ordinary fibers are kept, nothing is sorted or
+    absorbed.
     """
     if inv.l1 * inv.l2 == 0:
         raise InvalidFlowInvariant(

@@ -25,10 +25,11 @@ error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
 
 Start-up is most of the time of one `classify`: the package imports
 neither dataclasses nor typing, nor fractions outside
-seifert.euler_number, json outside `classify --json`, or random outside
-the seeded selfcheck check, and importing nmsflow.cli loads every
-module whose functions the benchmark traces, selfcheck and surgery
-included.
+seifert.euler_number, or random outside the seeded selfcheck check, and
+importing nmsflow.cli loads every module whose functions the benchmark
+traces, selfcheck and surgery included.  It never imports json:
+`classify --json` writes its object from a fixed template
+(_classify_report).
 """
 
 from __future__ import annotations
@@ -136,21 +137,19 @@ def _render(render, *args) -> str:
 
 def _classify_report(args, res, group, prime) -> str:
     if args.json:
+        # The text of json.dumps(payload, sort_keys=True), keys in sorted
+        # order: every field is an int, a bool, null, the kind, or a
+        # canonical expression, whose alphabet needs no escaping.
         inter = res.intermediate_seifert
-        payload = {
-            "input": [args.l1, args.m1, args.l2, args.m2],
-            "kind": res.invariant.kind.value,
-            "case": res.case,
-            "canonical": str(res.manifold),
-            "prime": prime,
-            "h1": {"free_rank": group.free_rank,
-                   "torsion": list(group.torsion)},
-            "intermediate_seifert":
-                None if inter is None else [list(f) for f in inter],
-        }
-        import json  # here, so that the CLI start-up skips it
-
-        return json.dumps(payload, sort_keys=True)
+        inter = "null" if inter is None else (
+            "[" + ", ".join(f"[{a}, {b}]" for a, b in inter) + "]")
+        torsion = ", ".join(map(str, group.torsion))
+        return (f'{{"canonical": "{res.manifold}", "case": {res.case}, '
+                f'"h1": {{"free_rank": {group.free_rank}, "torsion": [{torsion}]}}, '
+                f'"input": [{args.l1}, {args.m1}, {args.l2}, {args.m2}], '
+                f'"intermediate_seifert": {inter}, '
+                f'"kind": "{res.invariant.kind.value}", '
+                f'"prime": {"true" if prime else "false"}}}')
     lines = [f"case {res.case}: {res.manifold}", f"h1: {group}",
              f"prime: {'true' if prime else 'false'}"]
     if res.intermediate_seifert is not None:

@@ -81,6 +81,15 @@ class AbelianGroup(Value):
 _set_free_rank, _set_torsion = _slot_setters(AbelianGroup)
 
 
+def _group(free_rank: int, torsion: tuple[int, ...]) -> AbelianGroup:
+    """The AbelianGroup of a divisor chain that h1 has just computed, with
+    its 1s dropped, stored unchecked."""
+    g = object.__new__(AbelianGroup)
+    _set_free_rank(g, free_rank)
+    _set_torsion(g, torsion)
+    return g
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal (d1, ..., dk) of the Smith normal form, k = min(rows, cols).
 
@@ -209,8 +218,9 @@ def _divisor_chain(d: list[int]) -> list[int]:
     return d
 
 
-def _h1_seifert(data: seifert.SeifertData) -> AbelianGroup:
-    """H1 of validated fiber data, from gcds alone.
+def _h1_seifert(data: seifert.SeifertData) -> tuple[int, list[int]]:
+    """H1 of validated fiber data, as its free rank and invariant factors,
+    from gcds alone.
 
     Let N = |sum_i beta_i prod_{j != i} alpha_j| (= |e| prod alpha_i) and
     c_1 | ... | c_r the divisor chain of alpha_1, ..., alpha_r.  Then
@@ -244,11 +254,22 @@ def _h1_seifert(data: seifert.SeifertData) -> AbelianGroup:
     head = _divisor_chain([alpha for alpha, _ in data])[:max(len(data) - 2, 0)]
     torsion = [c for c in head if c != 1]
     if not total:
-        return AbelianGroup(1, torsion)
+        return 1, torsion
     last = abs(total) // math.prod(torsion)
     if last != 1:
         torsion.append(last)
-    return AbelianGroup(0, torsion)
+    return 0, torsion
+
+
+# The free rank and invariant factors of H1 of each prime value class.
+_PRIME_H1 = {
+    Sphere: lambda m: (0, ()),
+    S2xS1: lambda m: (1, ()),
+    RP3: lambda m: (0, (2,)),
+    Lens: lambda m: (0, (m.p,)),
+    # The constructor has validated the fibers.
+    SeifertOverS2: lambda m: _h1_seifert(m.fibers),
+}
 
 
 def h1(m: Manifold) -> AbelianGroup:
@@ -261,19 +282,15 @@ def h1(m: Manifold) -> AbelianGroup:
     dropped.  Both run in O(k^2) gcds for k fibers or factors.  Raises
     TypeError on anything but a Manifold.
     """
-    if isinstance(m, Sphere):
-        return AbelianGroup(0)
-    if isinstance(m, S2xS1):
-        return AbelianGroup(1)
-    if isinstance(m, RP3):
-        return AbelianGroup(0, (2,))
-    if isinstance(m, Lens):
-        return AbelianGroup(0, (m.p,))
-    if isinstance(m, SeifertOverS2):
-        return _h1_seifert(m.fibers)  # the constructor has validated them
-    if isinstance(m, ConnectedSum):
-        parts = [h1(s) for s in m.summands]
-        d = _divisor_chain([f for g in parts for f in g.torsion])
-        return AbelianGroup(sum(g.free_rank for g in parts),
-                            tuple(f for f in d if f != 1))
-    raise TypeError(f"not a manifold value: {m!r}")
+    prime = _PRIME_H1.get(m.__class__)
+    if prime is not None:
+        free_rank, torsion = prime(m)
+        return _group(free_rank, tuple(torsion))
+    if m.__class__ is not ConnectedSum:
+        raise TypeError(f"not a manifold value: {m!r}")
+    free_rank, torsion = 0, []
+    for s in m.summands:  # never a sum
+        r, t = _PRIME_H1[s.__class__](s)
+        free_rank += r
+        torsion += t
+    return _group(free_rank, tuple(f for f in _divisor_chain(torsion) if f != 1))

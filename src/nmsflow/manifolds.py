@@ -49,9 +49,15 @@ class Value:
     """Base of the library's immutable value classes.
 
     A subclass names its fields in __slots__, in the order of its
-    constructor's parameters, and its __init__ stores them once through
-    the slot setters that _slot_setters binds after the class body; that
-    is the one way a field is stored.  Each subclass also writes its own
+    constructor's parameters, and its __init__ checks them and stores them
+    once through the slot setters that _slot_setters binds after the class
+    body; that is the one way a field is stored.  Where the library has
+    just computed a field in canonical form, a private builder stores it
+    through the same setters on object.__new__ of the class, without the
+    checks: _seifert (case 7 of classifier._CASES and homeomorphism_key),
+    _sum (sum_normalize) and homology._group (the divisor chains of h1).
+    Nothing else calls them, and every public constructor and factory
+    keeps its checks.  Each subclass also writes its own
     __eq__ (same class and equal fields, else NotImplemented) and __hash__
     (the hash of the field tuple): spelled out field by field, they are as
     fast as what dataclasses would generate, without its import and
@@ -186,6 +192,15 @@ class SeifertOverS2(Manifold):
 _set_fibers, = _slot_setters(SeifertOverS2)
 
 
+def _seifert(fibers: seifert.SeifertData) -> SeifertOverS2:
+    """The SeifertOverS2 of fibers that the caller has just made a nonempty
+    normal form, stored unchecked: classifier's case 7 and
+    homeomorphism_key."""
+    m = object.__new__(SeifertOverS2)
+    _set_fibers(m, fibers)
+    return m
+
+
 class ConnectedSum(Manifold):
     """Connected sum of >= 2 summands, none S3 or a sum, stored sorted."""
     __slots__ = ("summands",)
@@ -214,6 +229,14 @@ class ConnectedSum(Manifold):
 
 
 _set_summands, = _slot_setters(ConnectedSum)
+
+
+def _sum(summands: tuple[Manifold, ...]) -> ConnectedSum:
+    """The ConnectedSum of summands that the caller has just checked and
+    sorted, stored unchecked: sum_normalize."""
+    m = object.__new__(ConnectedSum)
+    _set_summands(m, summands)
+    return m
 
 
 _ATOM_RANK = {Sphere: 0, S2xS1: 1, RP3: 4}
@@ -265,10 +288,11 @@ def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
 def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
     """Canonical connected sum of the given summands.
 
-    Nested sums are flattened and Sphere summands are dropped; the
-    ConnectedSum constructor sorts the rest.  No summands at all gives
-    Sphere; a single summand is returned bare.  Raises TypeError on a
-    summand that is not a Manifold.
+    Nested sums are flattened and Sphere summands are dropped, and the
+    rest are sorted.  No summands at all gives Sphere; a single summand is
+    returned bare.  Raises TypeError on a summand that is not a Manifold.
+    What is left meets the ConnectedSum constructor's rules, so _sum
+    stores it without checking them again.
     """
     flat: list[Manifold] = []
     for s in summands:
@@ -284,7 +308,7 @@ def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
         return Sphere()
     if len(flat) == 1:
         return flat[0]
-    return ConnectedSum(tuple(flat))
+    return _sum(tuple(sorted(flat, key=sort_key)))
 
 
 def homeomorphism_key(m: Manifold) -> Manifold:
@@ -295,10 +319,9 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     seifert._lens_parameters; those with >= 3 keep their fibration but reduce the fibers to
     seifert.isomorphism_key (a fibration with >= 3 exceptional fibers is
     never a lens space).  Sums resolve summand-wise.  A Seifert value whose
-    fibers are already their key is returned itself, not rebuilt: values
-    are immutable, and the rebuild would only re-run normalize and
-    check_fibers on a normal form.  Raises TypeError on anything but a
-    Manifold.
+    fibers are already their key is returned itself; any other key is a
+    normal form, which _seifert stores without re-running normalize and
+    check_fibers.  Raises TypeError on anything but a Manifold.
 
     Equal keys do not always mean homeomorphic values, nor different keys
     different manifolds (ROADMAP.md, item 1):
@@ -316,7 +339,7 @@ def homeomorphism_key(m: Manifold) -> Manifold:
         if not seifert._not_lens(m.fibers):
             return lens_canonical(*seifert._lens_parameters(m.fibers))
         key = seifert._isomorphism_key(m.fibers)
-        return m if key is m.fibers else SeifertOverS2(key)
+        return m if key is m.fibers else _seifert(key)
     if isinstance(m, ConnectedSum):
         return sum_normalize([homeomorphism_key(s) for s in m.summands])
     if isinstance(m, Manifold):

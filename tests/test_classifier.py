@@ -18,7 +18,6 @@ from nmsflow.classifier import (
 )
 from nmsflow.manifolds import (
     Lens,
-    RP3,
     S2xS1,
     SeifertOverS2,
     Sphere,
