@@ -279,8 +279,9 @@ def h1(m: Manifold) -> AbelianGroup:
     the gcd closed form of _h1_seifert on their stored normal form.  A
     connected sum takes the direct sum of its summands' groups: the free
     ranks add, and the torsion factors become a divisor chain with the 1s
-    dropped.  Both run in O(k^2) gcds for k fibers or factors.  Raises
-    TypeError on anything but a Manifold.
+    dropped.  Both run in O(k^2) gcds for k fibers or factors.  It
+    dispatches on the value's exact class, and raises TypeError on
+    anything but a value of the package's manifold classes.
     """
     prime = _PRIME_H1.get(m.__class__)
     if prime is not None:

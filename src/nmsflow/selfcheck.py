@@ -250,7 +250,7 @@ def check_seifert_forms(*, count=200, max_len=4, seed=_SEED + 1):
         if seifert.euler_number(n) != seifert.euler_number(s):
             bad += 1
         presented = h1_seifert_presentation(s)
-        value = seifert_over_s2(s)  # its fibers are n
+        value = seifert_over_s2(s)  # fibers n, or S2xS1 if n is empty
         if h1(value) != presented:
             bad += 1
         if h1(homeomorphism_key(value)) != presented:

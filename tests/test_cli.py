@@ -1,11 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nmsflow.cli import _build_parser, main
+from nmsflow.expressions import parse_manifold
 from timelimit import deadline
+
+GOLDEN = Path(__file__).parent / "data" / "golden_classify.tsv"
 
 
 def test_classify_human_output(capsys):
@@ -208,3 +217,80 @@ def test_answers_past_the_digit_limit_print_in_full(capsys):
     assert "integer of 4301 digits is too long" in capsys.readouterr().err
     assert main(["h1", f"L({a}9,1)"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_classify_json_is_the_text_of_json_dumps_on_every_golden_row(capsys):
+    rows = [line.split("\t")[0].split() for line in GOLDEN.read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert len(rows) >= 40
+    for quad in rows:
+        assert main(["classify", *quad, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", quad
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _digits(seed: int, n: int) -> str:
+    """n random decimal digits, the first nonzero."""
+    rng = random.Random(seed)
+    return str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=n - 1))
+
+
+# Operands from one digit to past the 4,300-digit limit, either sign,
+# written out as the command line gets them.
+_OPERAND = st.builds(
+    lambda negative, digits: "-" * negative + digits,
+    st.booleans(),
+    st.one_of(st.integers(0, 30).map(str),
+              st.integers(0, 10**12).map(str),
+              st.builds(_digits, st.integers(0, 2**32), st.integers(4290, 4310)),
+              st.sampled_from(["9" * 4300, "9" * 4299 + "8", "9" * 4301, "1" + "0" * 4300])))
+_ANSWER = re.compile(r"case [1-7]: (?P<canonical>.+)\nh1: .+\nprime: (true|false)\n"
+                     r"(intermediate seifert: .+\n)?")
+
+
+def _canonical_parses_back(text: str) -> None:
+    with _no_digit_limit():
+        assert str(parse_manifold(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_OPERAND, min_size=4, max_size=4), st.booleans())
+@example(["1", "0", "-" + "9" * 4300, "9" * 4299 + "8"], False)
+@example(["1", "0", "-" + "9" * 4300, "9" * 4299 + "8"], True)
+def test_classify_answers_or_reports_every_operand_list(operands, as_json):
+    # Each call exits 0 with an answer, or 2 with a usage or error line;
+    # an uncaught exception fails the test with its traceback.
+    argv = ["classify", *operands] + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage: nmsflow classify") or (
+            err.startswith("error: ") and err.count("\n") == 1), err
+        return
+    assert err == ""
+    if as_json:
+        with _no_digit_limit():
+            payload = json.loads(out)
+            assert payload["input"] == [int(v) for v in operands]
+        _canonical_parses_back(payload["canonical"])
+    else:
+        answer = _ANSWER.fullmatch(out)
+        assert answer is not None, out[:200]
+        _canonical_parses_back(answer["canonical"])

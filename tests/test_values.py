@@ -3,12 +3,16 @@
 Each is a slotted subclass of manifolds.Value: equal fields give equal
 values with the hash of the field tuple, fields are read-only, values of
 different classes never compare equal, and the repr names every field.
+The values that the private builders store unchecked equal their rebuilds
+through the public, checking constructors.
 """
 
 import copy
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmsflow import seifert
 from nmsflow.classifier import (
@@ -16,7 +20,7 @@ from nmsflow.classifier import (
     classify_quadruple,
     enumerate_invariants,
 )
-from nmsflow.homology import AbelianGroup
+from nmsflow.homology import AbelianGroup, h1
 from nmsflow.manifolds import (
     ConnectedSum,
     InvalidLensParameters,
@@ -26,6 +30,9 @@ from nmsflow.manifolds import (
     SeifertOverS2,
     Sphere,
     Value,
+    homeomorphism_key,
+    seifert_over_s2,
+    sum_normalize,
 )
 from nmsflow.surgery import Framing
 
@@ -143,3 +150,62 @@ def test_keywords_name_the_fields():
     assert Lens(p=7, q=5) == Lens(7, 2)
     assert AbelianGroup(free_rank=1) == AbelianGroup(1, ())
     assert Framing(beta=3, alpha=1) == Framing(3, 1)
+
+
+# Fast paths: values stored by manifolds._seifert, manifolds._sum and
+# homology._group, without their constructors' checks.
+
+_BIG = 10**12
+
+
+@st.composite
+def _side(draw, role, side):
+    """An admissible (l, m) of role min(|l|, 2) on side 1 or 2."""
+    sign = draw(st.sampled_from((-1, 1)))
+    if role == 0:
+        return (0, 2) if side == 1 and draw(st.booleans()) else (0, sign)
+    if role == 1:
+        return (sign, draw(st.integers(-_BIG, _BIG)))
+    l = sign * draw(st.integers(2, _BIG))
+    return (l, draw(st.integers(-_BIG, _BIG).filter(lambda m: math.gcd(l, m) == 1)))
+
+
+def _rebuilt(m):
+    """m built again through the public constructors, which check it."""
+    if isinstance(m, ConnectedSum):
+        return ConnectedSum([_rebuilt(s) for s in m.summands])
+    if isinstance(m, SeifertOverS2):
+        return SeifertOverS2(m.fibers)
+    if isinstance(m, Lens):
+        return Lens(m.p, m.q)
+    return type(m)()
+
+
+def _assert_fast_paths_canonical(m):
+    g = h1(m)
+    assert AbelianGroup(g.free_rank, g.torsion) == g
+    assert _rebuilt(m) == m
+    key = homeomorphism_key(m)
+    assert _rebuilt(key) == key
+
+
+@pytest.mark.parametrize("role1, role2", [(r1, r2) for r1 in range(3) for r2 in range(3)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_unchecked_values_equal_their_checked_rebuilds(role1, role2, data):
+    quad = data.draw(_side(role1, 1)) + data.draw(_side(role2, 2))
+    res = classify_quadruple(*quad)
+    if res.case == 7:
+        assert res.manifold == seifert_over_s2(res.intermediate_seifert)
+    _assert_fast_paths_canonical(res.manifold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=4),
+       st.data())
+def test_unchecked_sums_equal_their_checked_rebuilds(roles, data):
+    # Sums of classified values: sum_normalize flattens the case 1-3 sums
+    # and sorts Seifert summands among the rest.
+    values = [classify_quadruple(*data.draw(_side(r1, 1)), *data.draw(_side(r2, 2))).manifold
+              for r1, r2 in roles]
+    _assert_fast_paths_canonical(sum_normalize(values))
