@@ -62,15 +62,6 @@ class FlowInvariant(Value):
         _set_l2(self, l2)
         _set_m2(self, m2)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.l1 == other.l1 and self.m1 == other.m1
-                    and self.l2 == other.l2 and self.m2 == other.m2)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.l1, self.m1, self.l2, self.m2))
-
     @property
     def kind(self) -> InvariantKind:
         return (InvariantKind.INESSENTIAL if (self.l1, self.m1) == _MARKER
@@ -157,17 +148,6 @@ class ClassificationResult(Value):
         _set_case(self, case)
         _set_manifold(self, manifold)
         _set_intermediate_seifert(self, intermediate_seifert)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.invariant == other.invariant and self.case == other.case
-                    and self.manifold == other.manifold
-                    and self.intermediate_seifert == other.intermediate_seifert)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.invariant, self.case, self.manifold,
-                     self.intermediate_seifert))
 
 
 _set_invariant, _set_case, _set_manifold, _set_intermediate_seifert = (
@@ -296,16 +276,6 @@ class EnumeratedClass(Value):
         _set_count(self, count)
         _set_example(self, example)
         _set_values(self, values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.representative == other.representative
-                    and self.count == other.count and self.example == other.example
-                    and self.values == other.values)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.representative, self.count, self.example, self.values))
 
 
 _set_representative, _set_count, _set_example, _set_values = _slot_setters(

@@ -81,15 +81,6 @@ class AbelianGroup(Value):
 _set_free_rank, _set_torsion = _slot_setters(AbelianGroup)
 
 
-def _group(free_rank: int, torsion: tuple[int, ...]) -> AbelianGroup:
-    """The AbelianGroup of a divisor chain that h1 has just computed, with
-    its 1s dropped, stored unchecked."""
-    g = object.__new__(AbelianGroup)
-    _set_free_rank(g, free_rank)
-    _set_torsion(g, torsion)
-    return g
-
-
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal (d1, ..., dk) of the Smith normal form, k = min(rows, cols).
 
@@ -286,7 +277,7 @@ def h1(m: Manifold) -> AbelianGroup:
     prime = _PRIME_H1.get(m.__class__)
     if prime is not None:
         free_rank, torsion = prime(m)
-        return _group(free_rank, tuple(torsion))
+        return AbelianGroup(free_rank, torsion)
     if m.__class__ is not ConnectedSum:
         raise TypeError(f"not a manifold value: {m!r}")
     free_rank, torsion = 0, []
@@ -294,4 +285,4 @@ def h1(m: Manifold) -> AbelianGroup:
         r, t = _PRIME_H1[s.__class__](s)
         free_rank += r
         torsion += t
-    return _group(free_rank, tuple(f for f in _divisor_chain(torsion) if f != 1))
+    return AbelianGroup(free_rank, [f for f in _divisor_chain(torsion) if f != 1])

@@ -22,12 +22,12 @@ lens_parameters) and in homology.h1_seifert_presentation.  The
 SeifertOverS2 constructor stores normalize(fibers), so the fibers of a
 value are a validated normal form, and its readers (the homeomorphism key,
 homology.h1) call the unvalidated cores _not_lens, _isomorphism_key,
-_lens_parameters and homology._h1_seifert on them.  Two producers of a
+_lens_parameters and homology._h1_seifert on them.  Three producers of a
 normal form store it through manifolds._seifert, without the constructor's
 normalize and check_fibers: case 7 of classifier._CASES, whose three
 fibers, sorted, are a normal form because each beta lies in (0, alpha),
-and manifolds.homeomorphism_key, whose key _isomorphism_key builds from a
-normal form.
+manifolds.homeomorphism_key, whose key _isomorphism_key builds from a
+normal form, and manifolds.seifert_over_s2, which has just normalized.
 
 This module is deliberately free of manifold types; it only manipulates
 fiber data.  The bridge to canonical manifold values (seifert_over_s2 and

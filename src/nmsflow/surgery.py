@@ -26,14 +26,6 @@ class Framing(Value):
         _set_beta(self, beta)
         _set_alpha(self, alpha)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.beta == other.beta and self.alpha == other.alpha
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.beta, self.alpha))
-
 
 _set_beta, _set_alpha = _slot_setters(Framing)
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -294,3 +295,111 @@ def test_classify_answers_or_reports_every_operand_list(operands, as_json):
         answer = _ANSWER.fullmatch(out)
         assert answer is not None, out[:200]
         _canonical_parses_back(answer["canonical"])
+
+
+# h1 and homeo on generated expressions: 1 to 6 summands, integers from one
+# digit to past the 4,300-digit limit (at most two longer than 12 digits
+# per expression), and sometimes one character inserted, deleted or
+# replaced: grammar characters, whitespace, an Arabic-Indic digit, a
+# superscript two and an em space.
+_EDIT_CHARS = "()#,;-0123456789LSFRPx \t\n\u0663\u00b2\u2003"
+_GROUP = re.compile(r"(0|(Z(\^[0-9]+)?|Z/[0-9]+)( \+ Z/[0-9]+)*)\n")
+_ERROR = re.compile(r"error: [^\n]* \(at position [0-9]+\)\n")
+
+
+def _coprime(fixed: int, value: int) -> int:
+    """The least v >= value with gcd(fixed, v) = 1; fixed is nonzero."""
+    while math.gcd(fixed, value) != 1:
+        value += 1
+    return value
+
+
+def _decimal(value: int) -> str:
+    with _no_digit_limit():
+        return str(value)
+
+
+@st.composite
+def _expression(draw, max_fibers, fiber_budget):
+    """An expression text; its Seifert summands hold at most `max_fibers`
+    fibers each and `fiber_budget` in all."""
+    long_left = 2
+
+    def integer() -> int:
+        nonlocal long_left
+        if long_left and draw(st.integers(0, 9)) == 0:
+            long_left -= 1
+            n = draw(st.one_of(st.integers(13, 40), st.integers(4290, 4305)))
+            value = random.Random(draw(st.integers(0, 2**32))).randrange(10**(n - 1), 10**n)
+            return -value if draw(st.booleans()) else value
+        return draw(st.integers(-10**12 + 1, 10**12 - 1))
+
+    summands = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("S3", "S2xS1", "RP3", "L", "SFS")))
+        if kind == "L":
+            p = integer()
+            q = draw(st.sampled_from((-1, 1))) if p == 0 else _coprime(p, integer())
+            summands.append(f"L({_decimal(p)},{_decimal(q)})")
+        elif kind == "SFS" and fiber_budget:
+            fibers = []
+            for _ in range(draw(st.integers(1, min(max_fibers, fiber_budget)))):
+                alpha = abs(integer()) or 1
+                fibers.append(f"({_decimal(alpha)},{_decimal(_coprime(alpha, integer()))})")
+            fiber_budget -= len(fibers)
+            summands.append(f"SFS(S2; {','.join(fibers)})")
+        else:
+            summands.append(kind if kind != "SFS" else "S3")
+    text = " # ".join(summands)
+    edit = draw(st.sampled_from(("none", "none", "insert", "delete", "replace")))
+    if edit != "none":
+        at = draw(st.integers(0, len(text) - (edit != "insert")))
+        char = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:at] + char + text[at + (edit != "insert"):]
+    return text
+
+
+def _sfs(fibers) -> str:
+    return "SFS(S2; " + ",".join(f"({_decimal(a)},{b})" for a, b in fibers) + ")"
+
+
+_TWENTY = [(alpha, 1) for alpha in range(2, 22)]
+_TWENTY_REWRITE = _TWENTY[::-1]
+_TWENTY_REWRITE[4] = (_TWENTY_REWRITE[4][0], _TWENTY_REWRITE[4][1] + _TWENTY_REWRITE[4][0])
+_TWENTY_REWRITE += [(1, -1), (1, 0)]
+_BIG_A = 10**2501  # 2,502 digits, as is _BIG_A + 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.builds(lambda e: ["h1", e], _expression(40, 240)),
+    # At most 12 fibers per side, so at most 12 fiber classes: README's
+    # scope for homeo (the key searches up to 2^12 flip vectors).
+    st.builds(lambda a, b: ["homeo", a, b], _expression(12, 12), _expression(12, 12))))
+@example(["h1", _sfs([(_BIG_A, 1), (_BIG_A + 3, 1), (7, 1)])])
+@example(["homeo", _sfs(_TWENTY), _sfs(_TWENTY_REWRITE)])
+def test_h1_and_homeo_answer_or_report_every_expression(argv):
+    # Exit 0 with one answer line, or 1 with one located error line; an
+    # uncaught exception fails the test with its traceback.  argparse reads
+    # an argument that starts with "-" as an option: that is exit 2 with
+    # usage, before any expression is read.
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2 and any(arg.startswith("-") for arg in argv[1:]):
+        assert out == "" and err.startswith(f"usage: nmsflow {argv[0]}"), err
+        return
+    assert code in (0, 1), (code, err)
+    if code == 1:
+        assert out == ""
+        assert _ERROR.fullmatch(err), err[:300]
+        return
+    assert err == ""
+    if argv[0] == "h1":
+        assert _GROUP.fullmatch(out), out[:300]
+    else:
+        assert out in ("true\n", "false\n")

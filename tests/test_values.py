@@ -3,8 +3,10 @@
 Each is a slotted subclass of manifolds.Value: equal fields give equal
 values with the hash of the field tuple, fields are read-only, values of
 different classes never compare equal, and the repr names every field.
-The values that the private builders store unchecked equal their rebuilds
-through the public, checking constructors.
+Value states that rule once, and the classes that write it out by hand
+agree with it.  The values that manifolds._seifert and
+manifolds.sum_normalize store unchecked equal their rebuilds through the
+public, checking constructors.
 """
 
 import copy
@@ -16,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from nmsflow import seifert
 from nmsflow.classifier import (
+    ClassificationResult,
+    EnumeratedClass,
     FlowInvariant,
     classify_quadruple,
     enumerate_invariants,
@@ -113,6 +117,27 @@ def test_copy_and_pickle_rebuild_an_equal_value(make, fields, text):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
+@pytest.mark.parametrize("make, fields, text", CASES, ids=IDS)
+def test_every_class_follows_the_one_rule_of_value(make, fields, text):
+    # Five classes write Value's __eq__ and __hash__ out by hand; each must
+    # give what Value's own would, NotImplemented against another class.
+    v, w = make(), make()
+    other = RP3() if isinstance(v, Lens) else Lens(7, 2)
+    assert hash(v) == Value.__hash__(v)
+    assert (v == w) is Value.__eq__(v, w) is True
+    assert v.__eq__(other) is Value.__eq__(v, other) is NotImplemented
+    assert (v == other) is False
+
+
+def test_only_the_busy_classes_write_the_rule_out():
+    own = {c.__name__ for make, _, _ in CASES for c in type(make()).__mro__
+           if c is not object and "__eq__" in c.__dict__}
+    assert own == {"Value", "_Atom", "Lens", "SeifertOverS2", "ConnectedSum",
+                   "AbelianGroup"}
+    for cls in (FlowInvariant, ClassificationResult, EnumeratedClass, Framing):
+        assert "__eq__" not in cls.__dict__ and "__hash__" not in cls.__dict__, cls
+
+
 def test_hash_is_that_of_the_field_tuple():
     assert hash(Lens(7, 2)) == hash((7, 2))
     assert hash(Sphere()) == hash(())
@@ -152,8 +177,9 @@ def test_keywords_name_the_fields():
     assert Framing(beta=3, alpha=1) == Framing(3, 1)
 
 
-# Fast paths: values stored by manifolds._seifert, manifolds._sum and
-# homology._group, without their constructors' checks.
+# Fast paths: values stored by manifolds._seifert and
+# manifolds.sum_normalize without their constructors' checks.  h1 builds
+# its group through AbelianGroup, which checks it.
 
 _BIG = 10**12
 
