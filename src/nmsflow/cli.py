@@ -20,6 +20,10 @@ a shared 2-CPU x86_64 host, Python 3.11.7), and so does the time of
 selfcheck, which classifies every admissible quadruple once (332,352 at
 bound 15, about 4 s and 19 MB peak RSS).
 
+An expression that starts with "-" goes after "--" (`h1 -- "-L(7,2)"`,
+which exits 1 with the parse error at position 0); argparse reads it as
+an option otherwise, and exits 2 saying that the expression is missing.
+
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import product
 
 SeifertData = tuple[tuple[int, int], ...]
 
@@ -141,93 +142,124 @@ def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
     alpha = 2 fiber is always (2, 1) and a flip leaves it fixed.  So a
     candidate depends only on the vector l, where l_g counts the fibers
     of class g that show alpha - s, and each such fiber adds
-    w_g = (alpha - 2 s) / alpha to the sum above.  The search visits the
-    prod_g (n_g + 1) vectors l, n_g the size of class g, in a mixed-radix
-    Gray code, so each step moves one l_g by 1.  It counts in integers
-    over L, the lcm of the alphas: num is L times the sum, and l is
-    admissible when L divides num; the new integer term is
-    nb = b - num / L.  Ordering lemma: two sorted fiber lists of equal
+    w_g = (alpha - 2 s) / alpha to the sum above.  The search counts in
+    integers over L, the lcm of the alphas: S(l) is L * sum_g w_g l_g, l
+    is admissible when S(l) = S(l0) (mod L), l0 the vector of the given
+    data, and the new integer term is nb = (T - S(l)) / L with
+    T = b L + S(l0).  Ordering lemma: two sorted fiber lists of equal
     length compare at the least value whose multiplicities differ, and
     the list with more of it is the lesser.  That value is the low
     member (alpha, s) of the first class, in (alpha, s) order, where the
     vectors differ, so the lists compare as their vectors l do, and the
-    key is the candidate that minimises (nb == 0, nb, l).  Twenty
-    fibers of class (3, 1) and ten each of (5, 1) and (5, 2) thus take
-    21 * 11 * 11 = 2,541 steps, not 2^40.
+    key is the candidate that minimises (nb == 0, nb, l): the admissible
+    l of largest S(l) other than T, the least on ties, or, when every
+    admissible S(l) is T, the least l.
+
+    It meets in the middle (Horowitz and Sahni, J. ACM 21, 1974).  The
+    classes split where the product of their (n_g + 1), n_g the size of
+    class g, first passes the square root of the whole product.  The
+    sums of the right half are listed once, keeping for each residue
+    mod L the two largest distinct sums, each with its least vector.
+    Then each sum of the left half looks up the residue that makes it
+    admissible.  Two sums of one residue differ by a multiple of L, so
+    at most one of them completes a left sum to T; the second is taken
+    only when the first does.  The search thus takes about
+    2 sqrt(prod_g (n_g + 1)) steps, and its memory grows like its time.
+    Twenty fibers of class (3, 1) and ten each of (5, 1) and (5, 2) have
+    21 * 11 * 11 = 2,541 vectors, which the halves cover in
+    231 + 11 steps; 23 fibers in classes of their own have 2^23, in
+    2^12 + 2^11.
     """
     return _isomorphism_key(normalize(fibers))
 
 
 def _isomorphism_key(base: SeifertData) -> SeifertData:
     """isomorphism_key on data that is already a normal form; returns base
-    itself, not a copy, when base is its own key."""
+    itself, not a copy, when base is its own key.
+
+    A vector l stands as its mixed-radix index, the first class most
+    significant, which orders vectors as l does.
+    """
     b = 0
-    tagged = []  # (alpha, s, 1 if the fiber shows alpha - s else 0)
+    tagged = []  # ((alpha, s), 1 if the fiber shows alpha - s else 0)
+    alphas = []
     for alpha, beta in base:
         if alpha > 2:
             s = alpha - beta
             if beta < s:
-                tagged.append((alpha, beta, 0))
+                tagged.append(((alpha, beta), 0))
             else:
-                tagged.append((alpha, s, 1))
+                tagged.append(((alpha, s), 1))
+            alphas.append(alpha)
         elif alpha == 1:
             b = beta
     if not tagged:
         return base
     tagged.sort()
+    lcm = math.lcm(*alphas)
+    target = b * lcm  # T
     classes = []  # the (alpha, s) of each class, in increasing order
-    sizes = []  # n_g
+    steps = []  # [0, w_g, 2 w_g, ..., n_g w_g], w_g counted over L
     own = []  # l_g of base
-    for alpha, s, shows_high in tagged:
-        if classes and classes[-1] == (alpha, s):
-            sizes[-1] += 1
+    for c, shows_high in tagged:
+        if classes and classes[-1] == c:
+            d = steps[-1]
+            d.append(d[-1] + d[1])
             own[-1] += shows_high
         else:
-            classes.append((alpha, s))
-            sizes.append(1)
+            alpha, s = c
+            classes.append(c)
+            d = [0, (alpha - 2 * s) * (lcm // alpha)]
+            steps.append(d)
             own.append(shows_high)
-    # A list, not a generator: math.lcm(*genexpr) in a loop grew the
-    # process RSS by about 1.5 MB over 40 passes on CPython 3.11.7.
-    lcm = math.lcm(*[alpha for alpha, _ in classes])
-    # steps[j] is w_j, signed by the way l_j moves next.
-    steps = [(alpha - 2 * s) * (lcm // alpha) for alpha, s in classes]
-    num = 0
-    for w, l in zip(steps, own):
-        num -= w * l
-    # A candidate's rank is nb, or inf when nb = 0 drops the (1, nb) term,
-    # which sorts before every exceptional fiber.  Equal ranks go to the
-    # least l, by the ordering lemma.
-    best_rank = b or math.inf
-    best = own
-    # Loopless reflected mixed-radix Gray code (Knuth, TAOCP 7.2.1.1,
-    # Algorithm H) from l = 0: each step moves one l_j by 1.
-    m = len(classes)
-    high = [0] * m
-    focus = list(range(m + 1))
-    while True:
-        if not num % lcm:
-            rank = b - num // lcm or math.inf
-            if rank < best_rank or rank == best_rank and high < best:
-                best_rank, best = rank, high[:]
-        j = focus[0]
-        if j == m:
-            break
-        focus[0] = 0
-        w = steps[j]
-        num += w
-        l = high[j] = high[j] + (1 if w > 0 else -1)
-        if l == 0 or l == sizes[j]:
-            steps[j] = -w
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-    if best == own:
+        if shows_high:
+            target += d[1]
+    mine, total = 0, 1
+    for d, l in zip(steps, own):
+        mine = mine * len(d) + l
+        total *= len(d)
+    cut, size = 0, 1
+    while size * size <= total:
+        size *= len(steps[cut])
+        cut += 1
+    # S of every vector of each half, in index order.
+    left = list(map(sum, product(*steps[:cut])))
+    right = list(map(sum, product(*steps[cut:])))
+    top = {}  # S mod L -> (largest S, its index, runner-up or -1, its index)
+    for j, t in enumerate(right):
+        r = t % lcm
+        e = top.get(r)
+        if e is None:
+            top[r] = (t, j, -1, 0)
+        elif t > e[0]:
+            top[r] = (t, j, e[0], e[1])
+        elif e[2] < t < e[0]:
+            top[r] = (e[0], e[1], t, j)
+    # The best S(l) so far, or -1 for S(l) = T, which ranks below every
+    # other S since all are >= 0; the first index wins a tie.
+    best = where = -2
+    width = len(right)
+    for i, t in enumerate(left):
+        e = top.get((target - t) % lcm)
+        if e is not None:
+            first, j, second, k = e
+            s = t + first
+            if s == target:
+                if second >= 0:
+                    s, j = t + second, k
+                else:
+                    s = -1
+            if s > best:
+                best, where = s, i * width + j
+    if where == mine:
         return base
     fibers = [f for f in base if f[0] == 2]
-    for (alpha, s), n, l in zip(classes, sizes, best):
-        fibers += [(alpha, s)] * (n - l) + [(alpha, alpha - s)] * l
+    for (alpha, s), d in zip(reversed(classes), reversed(steps)):
+        where, l = divmod(where, len(d))
+        fibers += [(alpha, s)] * (len(d) - 1 - l) + [(alpha, alpha - s)] * l
     fibers.sort()
-    if best_rank != math.inf:
-        fibers.insert(0, (1, best_rank))
+    if best >= 0:
+        fibers.insert(0, (1, (target - best) // lcm))
     return tuple(fibers)
 
 

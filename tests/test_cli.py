@@ -118,6 +118,15 @@ def test_homeo_parse_error_exits_one(capsys):
     assert "invalid-lens-parameters" in captured.err
 
 
+def test_an_expression_that_starts_with_a_minus_follows_a_double_dash(capsys):
+    # Without "--", argparse reads "-L(7,2)" as an option and exits 2.
+    for argv in (["h1", "--", "-L(7,2)"], ["homeo", "--", "-L(7,2)", "S3"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected a manifold summand (at position 0)\n"
+
+
 def test_h1_command(capsys):
     assert main(["h1", "L(12,5) # RP3"]) == 0
     assert capsys.readouterr().out == "Z/2 + Z/12\n"
@@ -373,8 +382,8 @@ _BIG_A = 10**2501  # 2,502 digits, as is _BIG_A + 3
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(
     st.builds(lambda e: ["h1", e], _expression(40, 240)),
-    # At most 12 fibers per side, so at most 12 fiber classes: README's
-    # scope for homeo (the key searches up to 2^12 flip vectors).
+    # At most 12 fibers per side, so at most 12 fiber classes and 2^12
+    # flip vectors per key, which the key covers in halves of at most 160.
     st.builds(lambda a, b: ["homeo", a, b], _expression(12, 12), _expression(12, 12))))
 @example(["h1", _sfs([(_BIG_A, 1), (_BIG_A + 3, 1), (7, 1)])])
 @example(["homeo", _sfs(_TWENTY), _sfs(_TWENTY_REWRITE)])

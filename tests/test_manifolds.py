@@ -246,24 +246,27 @@ def test_operations_reject_non_manifolds():
 
 
 def test_homeomorphic_twenty_exceptional_fibers_in_seconds():
-    # Each key searches 2^19 flip vectors: the (2, 1) fiber is fixed and
-    # the other 19 lie in 19 classes of one fiber each.  A Fraction sum
-    # per subset of all 20 (oracles.isomorphism_key_by_fraction_masks)
-    # takes tens of seconds.  The rewrite shuffles the fibers, shifts one
-    # beta by its alpha with a compensating (1, -1) and adds (1, 0).
-    fibers = [(alpha, 1) for alpha in range(2, 22)]
+    # 24 fibers: the (2, 1) fiber is fixed and the other 23 lie in 23
+    # classes of one fiber each, so each key has 2^23 flip vectors.  A walk
+    # over all of them takes seconds; the key meets in the middle, over
+    # halves of 2^12 and 2^11 vectors.  A Fraction sum per subset of all
+    # 24 (oracles.isomorphism_key_by_fraction_masks) would take minutes.
+    # The rewrite shuffles the fibers, shifts one beta by its alpha with a
+    # compensating (1, -1) and adds (1, 0).
+    fibers = [(alpha, 1) for alpha in range(2, 26)]
     rewrite = fibers[::-1]
     rewrite[4] = (rewrite[4][0], rewrite[4][1] + rewrite[4][0])
     rewrite += [(1, -1), (1, 0)]
     left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite)
-    with deadline(5.0):
+    with deadline(1.0):
         assert mf.homeomorphic(left, right)
 
 
 def _forty_fibers_in_three_classes():
     # 20 fibers of class (3, 1) and 10 each of (5, 1) and (5, 2): the key
-    # searches 21 * 11 * 11 flip vectors, where a walk over the subsets of
-    # the 40 exceptional fibers would take 2^40 steps.
+    # has 21 * 11 * 11 flip vectors and covers them in halves of 21 * 11
+    # and 11, where a walk over the subsets of the 40 exceptional fibers
+    # would take 2^40 steps.
     fibers = [(3, 1)] * 10 + [(3, 2)] * 10 + [(5, 1)] * 10 + [(5, 2)] * 10
     rewrite = fibers[:]
     random.Random(40).shuffle(rewrite)

@@ -191,6 +191,17 @@ def test_isomorphism_key_breaks_a_tie_in_nb_by_the_ordering_lemma():
     assert isomorphism_key_by_fraction_masks(fibers) == ((3, 1), (3, 1), (6, 5))
 
 
+def test_isomorphism_key_takes_the_second_sum_of_a_residue_when_the_first_gives_nb_zero():
+    # The largest admissible flip sum gives the given data back, with
+    # nb = 0; the next sum of the same residue mod L gives nb = 1, which
+    # wins.  A search that kept only the largest sum per residue would
+    # return the input unchanged.
+    fibers = [(3, 1), (3, 1), (6, 5), (8, 5), (8, 7)]
+    key = ((1, 1), (3, 1), (3, 1), (6, 5), (8, 1), (8, 3))
+    assert seifert.isomorphism_key(fibers) == key
+    assert isomorphism_key_by_fraction_masks(fibers) == key
+
+
 def test_isomorphism_key_agrees_with_isomorphic_seeded():
     rng = random.Random(97)
     pool = [random_fibers(rng, max_len=3, alpha_max=6, beta_max=9)
