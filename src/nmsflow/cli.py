@@ -15,7 +15,7 @@ negatives work (`classify 3 -1 5 2`).  Answers may be longer than the
 limit (`_render`).  `--bound` of
 enumerate must be from 0 to 30, and that of selfcheck from 0 to 15.  The
 caps keep a run to seconds: the output of enumerate grows about as
-bound^4 (39,178 classes at bound 30, about 1.6 s and 53 MB peak RSS on
+bound^4 (39,178 classes at bound 30, about 1 s and 47 MB peak RSS on
 a shared 2-CPU x86_64 host, Python 3.11.7), and so does the time of
 selfcheck, which classifies every admissible quadruple once (332,352 at
 bound 15, about 4 s and 19 MB peak RSS).
@@ -195,9 +195,10 @@ def _cmd_h1(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for c in enumerate_invariants(args.bound):
-        rep = c.representative
-        print(f"{rep}  h1={h1(rep)}  count={c.count}  e.g. {c.example}")
+    lines = [f"{c.representative}  h1={h1(c.representative)}  count={c.count}  "
+             f"e.g. {c.example}" for c in enumerate_invariants(args.bound)]
+    if lines:  # bound 0 has no admissible quadruple
+        print("\n".join(lines))
     return 0
 
 

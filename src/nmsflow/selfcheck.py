@@ -297,9 +297,10 @@ def run_selfcheck(bound: int, write=print) -> int:
     quadruple once and adds the result to every per-quadruple check, so
     no result outlives its step: memory grows with the number of distinct
     manifold values, not of quadruples.  `groups` holds the factored
-    homeomorphism classes of enumerate_invariants, which evaluates the
-    case formula once per bucket pair, and `lens_like` the lens-type class
-    representatives.  Returns 0 when all hard checks pass, 3 otherwise.
+    homeomorphism classes of enumerate_invariants, which evaluates a
+    case formula once per distinct value, and `lens_like` the lens-type
+    class representatives.  Returns 0 when all hard checks pass, 3
+    otherwise.
     """
     groups = enumerate_invariants(bound)
     inputs = {

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -16,6 +17,7 @@ from nmsflow.classifier import (
     valid_invariants,
     validate_invariant,
 )
+from nmsflow.homology import h1
 from nmsflow.manifolds import (
     Lens,
     S2xS1,
@@ -23,7 +25,9 @@ from nmsflow.manifolds import (
     Sphere,
     homeomorphic,
     homeomorphism_key,
+    seifert_over_s2,
 )
+from nmsflow.seifert import euler_number
 from nmsflow.selfcheck import CasePartition
 from oracles import enumerate_bruteforce
 from timelimit import deadline
@@ -104,8 +108,12 @@ def test_classify_case_structure():
 
 
 def test_intermediate_seifert_frozen():
-    assert (classify_quadruple(1, 0, 5, 2).intermediate_seifert
-            == ((2, 1), (1, 0), (5, 3)))
+    # classify keeps the triple in case 7 only, where it fibers the value.
+    # Elsewhere it is formal: (1, 0, 5, 2) gives S3, its triple has H1 Z/11.
+    assert classify_quadruple(1, 0, 5, 2).intermediate_seifert is None
+    formal = intermediate_seifert(validate_invariant(1, 0, 5, 2))
+    assert formal == ((2, 1), (1, 0), (5, 3))
+    assert str(h1(seifert_over_s2(formal))) == "Z/11"
     assert (classify_quadruple(2, 1, 3, 2).intermediate_seifert
             == ((2, 1), (2, 1), (3, 2)))
     assert (classify_quadruple(3, 1, 5, 2).intermediate_seifert
@@ -196,21 +204,49 @@ def test_enumerate_invariants_keys_each_value_once(monkeypatch):
 
 def test_enumerate_invariants_classifies_once_per_side_class_pair(monkeypatch):
     # enumerate evaluates the formulas of _CASES on bucket reads, without
-    # classify(); count the formula evaluations.
-    calls = []
+    # classify(); count the formula evaluations, by the role pair that
+    # _case_of was last asked for.
+    role_pairs = []
+    returned: dict[tuple[int, int], list] = {}
+    case_of = classifier._case_of
+
+    def recorded(role1, role2):
+        role_pairs.append((role1, role2))
+        return case_of(role1, role2)
 
     def counted(formula):
         def evaluate(s1, s2):
-            calls.append((s1, s2))
-            return formula(s1, s2)
+            value = formula(s1, s2)
+            returned.setdefault(role_pairs[-1], []).append(value)
+            return value
         return evaluate
 
+    monkeypatch.setattr(classifier, "_case_of", recorded)
     monkeypatch.setattr(classifier, "_CASES", tuple(
         (read1, read2, counted(formula))
         for read1, read2, formula in classifier._CASES))
     groups = enumerate_invariants(6)
     assert sum(c.count for c in groups) == 9312
-    assert len(calls) == 447
+    assert sum(map(len, returned.values())) == 124
+    # One evaluation per distinct value within each role pair.
+    for pair, values in returned.items():
+        assert len(set(values)) == len(values), pair
+
+
+def test_rows_that_read_both_sides_alike_have_symmetric_formulas():
+    # enumerate_invariants walks unordered bucket pairs on such rows; case 7
+    # is the one whose reads vary, (|l|, m^-1 mod |l|).
+    sides = classifier._sides(6)[1]
+    alike = []
+    for case, (read1, read2, formula) in enumerate(classifier._CASES, 1):
+        if read1 is read2:
+            alike.append(case)
+            reads = {read1(*pair) for pair in sides
+                     if classifier._case_of(pair[0], pair[0]) == case}
+            for r1 in reads:
+                for r2 in reads:
+                    assert formula(r1, r2) == formula(r2, r1), (case, r1, r2)
+    assert alike == [3, 6, 7]
 
 
 def _admissible_side_count(bound, marker):
@@ -232,14 +268,14 @@ _BIG = 10**6
 
 
 @st.composite
-def _side(draw, role, marker):
-    """An admissible pair whose l has the role min(|l|, 2)."""
+def _side(draw, role, marker, big=_BIG):
+    """An admissible pair whose l has the role min(|l|, 2), |entries| <= big."""
     if role == 0:
         return draw(st.sampled_from([(0, -1), (0, 1)] + [(0, 2)] * marker))
     if role == 1:
-        return (draw(st.sampled_from([-1, 1])), draw(st.integers(-_BIG, _BIG)))
-    l = draw(st.integers(2, _BIG)) * draw(st.sampled_from([-1, 1]))
-    m = draw(st.integers(-_BIG, _BIG))
+        return (draw(st.sampled_from([-1, 1])), draw(st.integers(-big, big)))
+    l = draw(st.integers(2, big)) * draw(st.sampled_from([-1, 1]))
+    m = draw(st.integers(-big, big))
     assume(math.gcd(l, m) == 1)
     return (l, m)
 
@@ -265,6 +301,39 @@ def test_classify_reads_only_the_side_classes(data):
         else:
             moved.append(data.draw(_side(roles[i], i == 0)))
     assert classify_quadruple(*moved[0], *moved[1]).manifold == result.manifold
+
+
+def _assert_case7_family(manifold):
+    # SFS(S2; (2,1),(a,x),(c,y)) with 0 < x < a, 0 < y < c, so 1/2 < e < 5/2,
+    # and |H1| = 2ac * e = a*c + 2*(x*c + y*a) >= 12, with equality only at
+    # a = c = 2: no case-7 value is an integral homology sphere.
+    fibers = list(manifold.fibers)
+    fibers.remove((2, 1))
+    (a, x), (c, y) = fibers
+    assert 0 < x < a and 0 < y < c, manifold
+    assert Fraction(1, 2) < euler_number(manifold.fibers) < Fraction(5, 2), manifold
+    group = h1(manifold)
+    order = a * c + 2 * (x * c + y * a)
+    assert group.free_rank == 0 and group.order() == order, manifold
+    assert order >= 12, manifold
+    assert (order == 12) == (manifold.fibers == ((2, 1),) * 3), manifold
+
+
+def test_case7_family_bound_ten():
+    first, second = classifier._sides(10)
+    values = {classify_quadruple(*side1, *side2).manifold
+              for side1 in first if abs(side1[0]) > 1
+              for side2 in second if abs(side2[0]) > 1}
+    assert len(values) == 496
+    for manifold in values:
+        _assert_case7_family(manifold)
+
+
+@given(_side(2, True, 10**12), _side(2, False, 10**12))
+def test_case7_family_twelve_digit_entries(side1, side2):
+    result = classify_quadruple(*side1, *side2)
+    assert result.case == 7
+    _assert_case7_family(result.manifold)
 
 
 def test_classify_consistent_with_predicates_small_grid():
@@ -300,8 +369,9 @@ def test_check_partition_catches_a_wrong_role_table(monkeypatch):
 
 def test_classify_intermediate_seifert_is_the_shared_read():
     for inv in valid_invariants(6):
-        inter = classify(inv).intermediate_seifert
-        if inv.l1 * inv.l2 != 0:
+        res = classify(inv)
+        inter = res.intermediate_seifert
+        if res.case == 7:
             assert inter == intermediate_seifert(inv), inv
         else:
             assert inter is None, inv
