@@ -15,7 +15,7 @@ negatives work (`classify 3 -1 5 2`).  Answers may be longer than the
 limit (`_render`).  `--bound` of
 enumerate must be from 0 to 30, and that of selfcheck from 0 to 15.  The
 caps keep a run to seconds: the output of enumerate grows about as
-bound^4 (39,178 classes at bound 30, about 1 s and 47 MB peak RSS on
+bound^4 (39,178 classes at bound 30, about 1.5 s and 46 MB peak RSS on
 a shared 2-CPU x86_64 host, Python 3.11.7), and so does the time of
 selfcheck, which classifies every admissible quadruple once (332,352 at
 bound 15, about 4 s and 19 MB peak RSS).
