@@ -1,11 +1,16 @@
 """run_selfcheck's single pass over the admissible quadruples."""
 
+import difflib
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 from nmsflow import classifier, cli, selfcheck
 from nmsflow.classifier import classify, valid_invariants
+from timelimit import deadline
+
+BOUNDS_0_TO_8 = Path(__file__).parent / "data" / "selfcheck_bounds.txt"
 
 
 def _traced_peak(fn):
@@ -59,6 +64,20 @@ def test_battery_report_at_bound_6(capsys):
     # per-instance memos must not move any of them.
     assert cli.main(["selfcheck", "--bound", "6"]) == 0
     assert capsys.readouterr().out == BATTERY_6
+
+
+def test_battery_reports_at_bounds_0_to_8_match_table(capsys):
+    # The table is the stdout of `selfcheck --bound 0` to `--bound 8`, one
+    # battery after the other; every count in it must hold under any
+    # rewrite of how the checks count.  The diff names the lines that moved.
+    with deadline(60.0):
+        for bound in range(9):
+            assert cli.main(["selfcheck", "--bound", str(bound)]) == 0
+    out = capsys.readouterr().out
+    table = BOUNDS_0_TO_8.read_text()
+    diff = difflib.unified_diff(table.splitlines(), out.splitlines(), "table",
+                                "selfcheck --bound 0..8", n=0, lineterm="")
+    assert out == table, "lines that differ:\n" + "\n".join(diff)
 
 
 def test_case_table_fault_fails_the_battery(monkeypatch):
