@@ -207,8 +207,11 @@ _CASES = (
     (_unread, _unread, lambda _, __: Sphere()),
     # 7. |l1| > 1, |l2| > 1:  SFS(S2; (2,1), (|l1|, beta1), (|l2|, beta2))
     # Sorted, the three fibers are their own normal form: each beta is in
-    # (0, alpha), so there is no integer term.
-    (_fiber, _fiber, lambda f1, f2: _seifert(tuple(sorted(_three_fibers(f1, f2))))),
+    # (0, alpha), so there is no integer term.  Every read (a, b) has
+    # a >= 2 and 0 < b < a, so (2,1) sorts first and only the two reads
+    # need ordering.
+    (_fiber, _fiber,
+     lambda f1, f2: _seifert(((2, 1), f1, f2) if f1 <= f2 else ((2, 1), f2, f1))),
 )
 
 

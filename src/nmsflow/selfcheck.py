@@ -7,17 +7,17 @@ forms with homology kept by them and by the homeomorphism key,
 render/parse round trips).  Each is one entry in the ordered registry
 CHECKS, with its sizes and seed as keyword arguments; run_selfcheck runs
 them at their defaults, and the acceptance tests call the same checks at
-larger sizes.  Each yields (ok, detail).  Any hard failure makes the run
-return 3.  The three per-quadruple checks are classes: add takes one
-classification result and verdict gives (ok, detail).  run_selfcheck
-feeds all three in one pass that classifies every admissible quadruple
-once and keeps no result, so its memory grows with the number of
-distinct manifold values, not of quadruples.  Their add compares and
-counts every result, but memoizes, per instance and so per run, what is
-a pure function of the result's fields: the case predicates per
-(l1, l2), h1 and its order per value, the expected group per l.  The
-checks over homeomorphism classes read the factored classes of
-enumerate_invariants.
+larger sizes.  Each is a plain function that returns (ok, detail).  Any
+hard failure makes the run return 3.  The three per-quadruple checks
+read the two tallies of tally(), which classifies every admissible
+quadruple once, keeps no result and counts it by (l1, l2, case) and by
+(case, manifold, x), x being the rest of what the case's h1 formula
+reads.  Each check's verdict is a function of a key: the case
+predicates of (l1, l2), or h1 of the value, computed once per value,
+against x.  A failing key fails all its quadruples, so the checks count
+every quadruple while their work grows with the number of distinct
+keys, not of quadruples.  The checks over homeomorphism classes read
+the factored classes of enumerate_invariants.
 """
 
 from __future__ import annotations
@@ -47,36 +47,57 @@ from .surgery import Framing, framing_equivalent, invert_framing, saddle_framing
 _SEED = 0x3A7D
 
 
-class CasePartition:
+def tally(bound: int) -> tuple[dict, dict]:
+    """Classify every admissible quadruple with |entries| <= bound once and
+    count it into two tallies, (cases, values).
+
+    `cases` maps (l1, l2, case) to its number of quadruples.  `values`
+    maps (case, manifold, x) to one list, [count, *first], where first
+    holds the key's first three invariants and x is what the case's h1
+    formula reads besides the manifold: l2 in case 1, l1 in case 2,
+    2*m2 - l2 in case 4, 2*m1 - l1 in case 5 and 0 in cases 3, 6 and 7.
+    valid_invariants yields the quadruples lexicographically, so the
+    first invariants of a key are its least.  No result outlives its
+    step: the tallies grow with the number of distinct keys, not of
+    quadruples.
+    """
+    cases = {}
+    values = {}
+    for inv in valid_invariants(bound):
+        r = classify(inv)
+        case = r.case
+        l1, l2 = inv.l1, inv.l2
+        key = (l1, l2, case)
+        cases[key] = cases.get(key, 0) + 1
+        x = (0 if case >= 6 or case == 3 else l2 if case == 1
+             else l1 if case == 2 else 2 * inv.m2 - l2 if case == 4
+             else 2 * inv.m1 - l1)
+        record = values.get(key := (case, r.manifold, x))
+        if record is None:
+            values[key] = [1, inv]
+        else:
+            record[0] += 1
+            if record[0] <= 3:
+                record.append(inv)
+    return cases, values
+
+
+def check_case_partition(cases):
     """Each quadruple hits exactly one case predicate, the case reported.
 
     classify reads its case from the role table behind
     classifier._case_of, so this compares that table with the paper's
-    case_predicates.  The predicates read (l1, l2) alone, so they are
-    evaluated once per distinct pair; every quadruple is still compared
-    and counted."""
-
-    def __init__(self):
-        self.count = 0
-        self.bad = 0
-        self._case = {}  # (l1, l2) -> the one case that holds, or 0
-
-    def add(self, r):
-        self.count += 1
-        inv = r.invariant
-        pair = (inv.l1, inv.l2)
-        case = self._case.get(pair)
-        if case is None:
-            hits = case_predicates(*pair)
-            case = self._case[pair] = (hits.index(True) + 1 if sum(hits) == 1
-                                       else 0)
-        if case != r.case:
-            self.bad += 1
-
-    def verdict(self):
-        return (self.bad == 0,
-                f"{self.count} quadruples, exactly one case each"
-                if self.bad == 0 else f"{self.bad} quadruples hit != 1 case")
+    case_predicates, once per (l1, l2, case) of the tally; a failing key
+    counts all its quadruples."""
+    count = bad = 0
+    for (l1, l2, case), n in cases.items():
+        count += n
+        hits = case_predicates(l1, l2)
+        if sum(hits) != 1 or hits.index(True) + 1 != case:
+            bad += n
+    return (bad == 0,
+            f"{count} quadruples, exactly one case each"
+            if bad == 0 else f"{bad} quadruples hit != 1 case")
 
 
 def _expected_sum_group(l: int) -> AbelianGroup:
@@ -99,56 +120,37 @@ def _fiber_order(fibers) -> int:
     return abs(total)
 
 
-class H1CaseFormulas:
+def check_h1_case_formulas(values):
     """h1 of each classifier output against the per-case closed form.
 
-    h1 with its order and the case-7 fiber order are computed once per
-    distinct value, and the expected group of cases 1 to 3 once per l;
-    every quadruple is still compared, and the first three mismatching
-    quadruples are kept, in input order."""
-
-    def __init__(self):
-        self.count = 0
-        self.bad = []
-        self._h1 = {}  # value -> (h1, its order)
-        self._order = {}  # case-7 value -> _fiber_order of its fibers
-        self._sum_group = {}  # l -> _expected_sum_group(l)
-        self._trivial = AbelianGroup(0)
-
-    def add(self, r):
-        self.count += 1
-        m = r.manifold
-        known = self._h1.get(m)
-        if known is None:
-            group = h1(m)
-            known = self._h1[m] = (group, group.order())
-        group, order = known
-        inv = r.invariant
-        case = r.case
+    The verdict is a function of the key (case, manifold, x) of the tally,
+    with h1 computed once per distinct value: cases 1 to 3 expect
+    _expected_sum_group(x), cases 4 and 5 order |x|, case 6 the trivial
+    group and case 7 the _fiber_order of its fibers.  Every quadruple of
+    a failing key fails, so the first three failing quadruples, in input
+    order, are among the first three of their keys."""
+    h1_of = {}
+    count = 0
+    bad = []
+    for (case, m, x), (n, *first) in values.items():
+        count += n
+        group = h1_of.get(m)
+        if group is None:
+            group = h1_of[m] = h1(m)
         if case <= 3:
-            l = inv.l2 if case == 1 else inv.l1 if case == 2 else 0
-            expected = self._sum_group.get(l)
-            if expected is None:
-                expected = self._sum_group[l] = _expected_sum_group(l)
-            ok = group == expected
-        elif case == 4:
-            ok = order == abs(2 * inv.m2 - inv.l2)
-        elif case == 5:
-            ok = order == abs(2 * inv.m1 - inv.l1)
+            ok = group == _expected_sum_group(x)
+        elif case <= 5:
+            ok = group.order() == abs(x)
         elif case == 6:
-            ok = group == self._trivial
+            ok = group == AbelianGroup(0)
         else:
-            fiber_order = self._order.get(m)
-            if fiber_order is None:
-                fiber_order = self._order[m] = _fiber_order(m.fibers)
-            ok = order == fiber_order
-        if not ok and len(self.bad) < 3:
-            self.bad.append(inv.quadruple())
-
-    def verdict(self):
-        return (not self.bad,
-                f"h1 matches the case formulas on {self.count} results"
-                if not self.bad else f"mismatch at {self.bad}")
+            ok = group.order() == _fiber_order(m.fibers)
+        if not ok:
+            bad.extend(inv.quadruple() for inv in first)
+    bad = sorted(bad)[:3]
+    return (not bad,
+            f"h1 matches the case formulas on {count} results"
+            if not bad else f"mismatch at {bad}")
 
 
 def _values(groups):
@@ -173,29 +175,20 @@ def check_h1_classes(groups):
             if bad == 0 else f"{bad} classes with mixed h1")
 
 
-class Case7Obstructions:
+def check_case7_obstructions(values, lens_like):
     """Case-7 outputs pass the three-fiber obstruction, are prime, and are
-    homeomorphic to none of the lens-type values `lens_like`.  Only the
-    distinct case-7 values are kept and checked."""
-
-    def __init__(self, lens_like):
-        self.lens_like = lens_like
-        self.outputs = set()
-
-    def add(self, r):
-        if r.case == 7:
-            self.outputs.add(r.manifold)
-
-    def verdict(self):
-        lens_keys = {homeomorphism_key(m) for m in self.lens_like}
-        bad = sum(1 for m in self.outputs
-                  if not seifert.not_lens_obstruction(m.fibers)
-                  or not is_prime(m)
-                  or homeomorphism_key(m) in lens_keys)
-        return (bad == 0,
-                f"{len(self.outputs)} fibered outputs prime and distinct from "
-                f"{len(self.lens_like)} lens-type classes"
-                if bad == 0 else f"{bad} fibered outputs failed")
+    homeomorphic to none of the lens-type values `lens_like`.  Each
+    distinct case-7 value of the tally is checked once."""
+    outputs = [m for case, m, _ in values if case == 7]
+    lens_keys = {homeomorphism_key(m) for m in lens_like}
+    bad = sum(1 for m in outputs
+              if not seifert.not_lens_obstruction(m.fibers)
+              or not is_prime(m)
+              or homeomorphism_key(m) in lens_keys)
+    return (bad == 0,
+            f"{len(outputs)} fibered outputs prime and distinct from "
+            f"{len(lens_like)} lens-type classes"
+            if bad == 0 else f"{bad} fibered outputs failed")
 
 
 def check_framing_involution(*, limit=25):
@@ -275,15 +268,12 @@ def check_roundtrip(groups):
 
 
 # Registry of hard checks in report order: name, check, and the inputs
-# that run_selfcheck derives from its bound and passes positionally.  A
-# check whose inputs start with "results" is a class: run_selfcheck builds
-# it from the other inputs, adds each classification result to it in its
-# one pass over the admissible quadruples, and reports its verdict.
+# that run_selfcheck derives from its bound and passes positionally.
 CHECKS = (
-    ("case-partition", CasePartition, ("results",)),
-    ("h1-case-formulas", H1CaseFormulas, ("results",)),
+    ("case-partition", check_case_partition, ("cases",)),
+    ("h1-case-formulas", check_h1_case_formulas, ("values",)),
     ("h1-on-homeo-classes", check_h1_classes, ("groups",)),
-    ("case7-obstructions", Case7Obstructions, ("results", "lens_like")),
+    ("case7-obstructions", check_case7_obstructions, ("values", "lens_like")),
     ("framing-involution", check_framing_involution, ()),
     ("seifert-normal-forms", check_seifert_forms, ()),
     ("render-parse-roundtrip", check_roundtrip, ("groups",)),
@@ -293,35 +283,29 @@ CHECKS = (
 def run_selfcheck(bound: int, write=print) -> int:
     """Run every registered check at its defaults and the given bound.
 
-    One pass over valid_invariants(bound) classifies each admissible
-    quadruple once and adds the result to every per-quadruple check, so
-    no result outlives its step: memory grows with the number of distinct
-    manifold values, not of quadruples.  `groups` holds the factored
-    homeomorphism classes of enumerate_invariants, which evaluates a
-    case formula once per distinct value, and `lens_like` the lens-type
-    class representatives.  Returns 0 when all hard checks pass, 3
-    otherwise.
+    `groups` holds the factored homeomorphism classes of
+    enumerate_invariants, which evaluates a case formula once per
+    distinct value, and `lens_like` the lens-type class representatives.
+    `cases` and `values` are the two tallies of tally(bound), which
+    classifies each admissible quadruple once and keeps no result, so
+    memory grows with the number of distinct keys, not of quadruples.
+    The classes come first, so that enumerate_invariants' working memory
+    is freed before the tallies grow.  Returns 0 when all hard checks
+    pass, 3 otherwise.
     """
     groups = enumerate_invariants(bound)
+    cases, values = tally(bound)
     inputs = {
+        "cases": cases,
+        "values": values,
         "groups": groups,
         "lens_like": [c.representative for c in groups
                       if isinstance(c.representative, (Sphere, S2xS1, RP3, Lens))],
     }
-    fed = {name: check(*(inputs[k] for k in needs[1:]))
-           for name, check, needs in CHECKS if needs[:1] == ("results",)}
-    adds = tuple(check.add for check in fed.values())
-    count = 0
-    for inv in valid_invariants(bound):
-        r = classify(inv)
-        count += 1
-        for add in adds:
-            add(r)
-    write(f"selfcheck: bound {bound}, {count} admissible quadruples")
+    write(f"selfcheck: bound {bound}, {sum(cases.values())} admissible quadruples")
     failures = 0
     for name, check, needs in CHECKS:
-        ok, detail = (fed[name].verdict() if name in fed
-                      else check(*(inputs[k] for k in needs)))
+        ok, detail = check(*(inputs[k] for k in needs))
         if not ok:
             failures += 1
         write(f"{'PASS' if ok else 'FAIL'} {name:<26} {detail}")

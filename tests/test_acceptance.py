@@ -25,13 +25,14 @@ from nmsflow.manifolds import (
 )
 from nmsflow.selfcheck import (
     CHECKS,
-    Case7Obstructions,
-    CasePartition,
-    H1CaseFormulas,
+    check_case7_obstructions,
+    check_case_partition,
     check_framing_involution,
+    check_h1_case_formulas,
     check_seifert_forms,
     random_fibers,
     run_selfcheck,
+    tally,
 )
 from oracles import (
     check_snf,
@@ -70,20 +71,10 @@ def test_criterion_1_golden_case_table():
             f"{len(bad)} mismatches, {elapsed:.2f}s (budget 1s)")
 
 
-def _classified(bound):
-    return [classify(inv) for inv in valid_invariants(bound)]
-
-
-def _fed(check, bound):
-    # One result at a time, as run_selfcheck feeds them.
-    for inv in valid_invariants(bound):
-        check.add(classify(inv))
-    return check.verdict()
-
-
 def test_criterion_2_case_partition():
     t0 = time.monotonic()
-    ok, detail = _fed(CasePartition(), 10)
+    cases, _ = tally(10)
+    ok, detail = check_case_partition(cases)
     elapsed = time.monotonic() - t0
     _report(2, "case partition", ok and elapsed < 5.0,
             f"bound 10: {detail}, {elapsed:.2f}s (budget 5s)")
@@ -91,7 +82,8 @@ def test_criterion_2_case_partition():
 
 def test_criterion_3_homology_cross_validation():
     t0 = time.monotonic()
-    ok, detail = _fed(H1CaseFormulas(), 8)
+    _, values = tally(8)
+    ok, detail = check_h1_case_formulas(values)
     elapsed = time.monotonic() - t0
     _report(3, "homology cross-validation", ok and elapsed < 30.0,
             f"bound 8: {detail}, {elapsed:.1f}s (budget 30s)")
@@ -262,10 +254,9 @@ def test_criterion_7_equivalence_laws():
 
 def test_criterion_8_case7_obstructions():
     t0 = time.monotonic()
-    results = _classified(8)
+    _, values = tally(8)
     lens_like = set()
-    for res in results:
-        m = res.manifold
+    for _, m, _ in values:
         pieces = m.summands if isinstance(m, ConnectedSum) else (m,)
         for piece in pieces:
             if isinstance(piece, (Sphere, S2xS1, RP3, Lens)):
@@ -273,10 +264,7 @@ def test_criterion_8_case7_obstructions():
     lens_grid = {lens_canonical(p, q)
                  for p in range(31) for q in range(1, 31)
                  if math.gcd(p, q) == 1} | {lens_canonical(0, 1)}
-    check = Case7Obstructions(lens_like | lens_grid)
-    for res in results:
-        check.add(res)
-    ok, detail = check.verdict()
+    ok, detail = check_case7_obstructions(values, lens_like | lens_grid)
     elapsed = time.monotonic() - t0
     _report(8, "case-7 obstructions", ok,
             f"bound 8: {detail}: the {len(lens_like)} lens-type summands "

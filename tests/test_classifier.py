@@ -28,7 +28,7 @@ from nmsflow.manifolds import (
     seifert_over_s2,
 )
 from nmsflow.seifert import euler_number
-from nmsflow.selfcheck import CasePartition
+from nmsflow.selfcheck import check_case_partition, tally
 from oracles import enumerate_bruteforce
 from timelimit import deadline
 
@@ -351,10 +351,8 @@ def test_case_of_role_table_matches_predicates(l1, l2):
 
 
 def _partition_verdict():
-    check = CasePartition()
-    for inv in valid_invariants(3):
-        check.add(classify(inv))
-    return check.verdict()
+    cases, _ = tally(3)
+    return check_case_partition(cases)
 
 
 def test_check_partition_catches_a_wrong_role_table(monkeypatch):

@@ -7,7 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 from nmsflow import classifier, cli, selfcheck
-from nmsflow.classifier import classify, valid_invariants
+from nmsflow.classifier import case_predicates, classify, valid_invariants
+from nmsflow.homology import AbelianGroup, h1
 from timelimit import deadline
 
 BOUNDS_0_TO_8 = Path(__file__).parent / "data" / "selfcheck_bounds.txt"
@@ -97,3 +98,42 @@ def test_case_table_fault_fails_the_battery(monkeypatch):
     lines = []
     assert selfcheck.run_selfcheck(bound, write=lines.append) == 3
     assert f"FAIL {'case-partition':<26} {hit} quadruples hit != 1 case" in lines
+
+
+def test_case_partition_fault_counts_every_quadruple(monkeypatch):
+    # Send l1 = 1, |l2| >= 2 to case 7 but leave l1 = -1 in case 4: the
+    # fault splits a role pair.  The reference loop compares each
+    # quadruple with the predicates, with no memo.
+    case_of = classifier._case_of
+    monkeypatch.setattr(classifier, "_case_of", lambda l1, l2: (
+        7 if l1 == 1 and abs(l2) >= 2 else case_of(l1, l2)))
+    hit = 0
+    for inv in valid_invariants(4):
+        hits = case_predicates(inv.l1, inv.l2)
+        if sum(hits) != 1 or hits.index(True) + 1 != classify(inv).case:
+            hit += 1
+    assert hit > 0
+    lines = []
+    assert selfcheck.run_selfcheck(4, write=lines.append) == 3
+    assert f"FAIL {'case-partition':<26} {hit} quadruples hit != 1 case" in lines
+
+
+def test_h1_sum_formula_fault_names_the_first_three_quadruples(monkeypatch):
+    # Make the expected group of cases 1 to 3 wrong for l = 3 alone.  The
+    # reference loop recomputes h1 per quadruple, with no memo, and keeps
+    # every mismatch in input order.
+    expected = selfcheck._expected_sum_group
+    monkeypatch.setattr(selfcheck, "_expected_sum_group", lambda l: (
+        AbelianGroup(0, (5,)) if l == 3 else expected(l)))
+    bad = []
+    for inv in valid_invariants(4):
+        r = classify(inv)
+        if r.case <= 3:
+            l = inv.l2 if r.case == 1 else inv.l1 if r.case == 2 else 0
+            if h1(r.manifold) != selfcheck._expected_sum_group(l):
+                bad.append(inv.quadruple())
+    assert len(bad) > 3
+    lines = []
+    assert selfcheck.run_selfcheck(4, write=lines.append) == 3
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert fails == [f"FAIL {'h1-case-formulas':<26} mismatch at {bad[:3]}"]
