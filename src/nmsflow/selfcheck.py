@@ -67,8 +67,8 @@ def tally(bound: int) -> tuple[dict, dict]:
         r = classify(inv)
         case = r.case
         l1, l2 = inv.l1, inv.l2
-        key = (l1, l2, case)
-        cases[key] = cases.get(key, 0) + 1
+        cell = (l1, l2, case)
+        cases[cell] = cases.get(cell, 0) + 1
         x = (0 if case >= 6 or case == 3 else l2 if case == 1
              else l1 if case == 2 else 2 * inv.m2 - l2 if case == 4
              else 2 * inv.m1 - l1)

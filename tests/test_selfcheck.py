@@ -61,8 +61,8 @@ selfcheck: all 7 hard checks passed
 
 
 def test_battery_report_at_bound_6(capsys):
-    # Every count of the default battery, line for line: the checks'
-    # per-instance memos must not move any of them.
+    # Every count of the default battery, line for line: counting by key
+    # in the tallies must not move any of them.
     assert cli.main(["selfcheck", "--bound", "6"]) == 0
     assert capsys.readouterr().out == BATTERY_6
 
