@@ -119,7 +119,7 @@ def case_predicates(l1: int, l2: int) -> tuple[bool, ...]:
 # r_i = min(|l_i|, 2), that is l = 0, |l| = 1 or |l| >= 2.  case_predicates
 # tests nothing but those roles, so the table is the predicates evaluated
 # at the role values; selfcheck's case-partition check compares the two
-# on every quadruple.
+# on every (l1, l2) cell of its tally.
 _ROLE_CASES = tuple(tuple(case_predicates(r1, r2).index(True) + 1
                           for r2 in range(3)) for r1 in range(3))
 
@@ -187,9 +187,10 @@ def _three_fibers(f1: tuple[int, int], f2: tuple[int, int]) -> seifert.SeifertDa
 # maps side i's pair (l, m) to what case k reads of it, and the manifold is
 # formula(read1(l1, m1), read2(l2, m2)).  The formula sees nothing else, so
 # two quadruples of one case whose sides read equal give the same manifold;
-# enumerate_invariants factors over that.  The lens cases read their lens
-# value itself, so sides that read equal are sides with one manifold, and
-# enumerate evaluates a formula once per distinct value in each role pair.
+# enumerate_invariants and selfcheck.tally factor over that.  The lens
+# cases read their lens value itself, so sides that read equal are sides
+# with one manifold, and enumerate evaluates a formula once per distinct
+# value in each role pair.
 # A row that reads both sides alike has a symmetric formula, formula(a, b)
 # == formula(b, a), and enumerate_invariants relies on it.
 _CASES = (
@@ -259,18 +260,6 @@ def _sides(bound: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
             [p for p in pairs if _admissible(*p, 2)])
 
 
-def valid_invariants(bound: int):
-    """All admissible quadruples with |entries| <= bound, lexicographically.
-
-    Distinct quadruples are distinct entries even when symmetries of the
-    underlying flows identify them.
-    """
-    first, second = _sides(bound)
-    for l1, m1 in first:
-        for l2, m2 in second:
-            yield FlowInvariant(l1, m1, l2, m2)
-
-
 class EnumeratedClass(Value):
     """One homeomorphism class of enumerate_invariants.
 
@@ -302,16 +291,19 @@ def _by_role(side: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int
 
 
 def _buckets(pairs: list[tuple[int, int]],
-             read) -> list[tuple[object, tuple[int, int], int]]:
-    # (read, first pair, size) of each bucket of equal reads, in first-pair order.
+             read) -> list[tuple[object, list[tuple[int, int]], int]]:
+    # (read, first pairs, size) of each bucket of equal reads, in first-pair
+    # order; the first pairs are the bucket's first three, in input order.
     buckets: dict[object, list] = {}
     for pair in pairs:
         bucket = buckets.get(r := read(*pair))
         if bucket is None:
-            buckets[r] = [pair, 1]
+            buckets[r] = [[pair], 1]
         else:
             bucket[1] += 1
-    return [(r, pair, n) for r, (pair, n) in buckets.items()]
+            if bucket[1] <= 3:
+                bucket[0].append(pair)
+    return [(r, first, n) for r, (first, n) in buckets.items()]
 
 
 def _bucket_pairs(buckets1: list, buckets2: list, symmetric: bool):
@@ -319,16 +311,16 @@ def _bucket_pairs(buckets1: list, buckets2: list, symmetric: bool):
     # side.  A symmetric pair (same buckets on both sides, symmetric
     # formula) walks unordered bucket pairs: an off-diagonal one stands for
     # both orders, so it counts twice, and its example is the lesser
-    # concatenation, the earlier bucket's pair first.
+    # concatenation, the earlier bucket's first pair first.
     if not symmetric:
-        for s1, side1, n1 in buckets1:
-            for s2, side2, n2 in buckets2:
-                yield s1, s2, side1 + side2, n1 * n2
+        for s1, first1, n1 in buckets1:
+            for s2, first2, n2 in buckets2:
+                yield s1, s2, first1[0] + first2[0], n1 * n2
         return
-    for i, (s1, side1, n1) in enumerate(buckets1):
-        yield s1, s1, side1 + side1, n1 * n1
-        for s2, side2, n2 in buckets1[i + 1:]:
-            yield s1, s2, side1 + side2, 2 * n1 * n2
+    for i, (s1, first1, n1) in enumerate(buckets1):
+        yield s1, s1, first1[0] + first1[0], n1 * n1
+        for s2, first2, n2 in buckets1[i + 1:]:
+            yield s1, s2, first1[0] + first2[0], 2 * n1 * n2
 
 
 def enumerate_invariants(bound: int) -> list[EnumeratedClass]:

@@ -58,9 +58,9 @@ class Value:
     the constructor, of which every value is a fixed point.  Fields are
     read-only.  The five busy classes write the rule out field by field,
     two to five times as fast; one `selfcheck --bound 6` hashes and
-    compares SeifertOverS2 14,789 and 13,799 times, Lens 3,556 and 3,285,
-    the _Atom classes 2,312 and 3,487, ConnectedSum 553 and 538, and
-    AbelianGroup 188 and 1,556.  The only values stored without
+    compares SeifertOverS2 1,412 and 686 times, Lens 1,328 and 729, the
+    _Atom classes 586 and 620, ConnectedSum 158 and 141, and
+    AbelianGroup 188 and 434.  The only values stored without
     the constructors' checks are the normal forms that _seifert stores and
     the sorted summands that sum_normalize stores, through the same
     setters on object.__new__.

@@ -9,28 +9,26 @@ CHECKS, with its sizes and seed as keyword arguments; run_selfcheck runs
 them at their defaults, and the acceptance tests call the same checks at
 larger sizes.  Each is a plain function that returns (ok, detail).  Any
 hard failure makes the run return 3.  The three per-quadruple checks
-read the two tallies of tally(), which classifies every admissible
-quadruple once, keeps no result and counts it by (l1, l2, case) and by
-(case, manifold, x), x being the rest of what the case's h1 formula
-reads.  Each check's verdict is a function of a key: the case
-predicates of (l1, l2), or h1 of the value, computed once per value,
-against x.  A failing key fails all its quadruples, so the checks count
-every quadruple while their work grows with the number of distinct
-keys, not of quadruples.  The checks over homeomorphism classes read
-the factored classes of enumerate_invariants.
+read the two tallies of tally(), which count the admissible quadruples
+by (l1, l2, case) and by (case, manifold, x), x being the rest of what
+the case's h1 formula reads, and keep the first three quadruples of each
+key.  Like enumerate_invariants, the tally evaluates a case formula once
+per pair of side buckets; classify runs only on the kept quadruples, in
+the h1 check, and the tests hold the tallies equal to an oracle that
+classifies every quadruple.  Each check's verdict is a function of a
+key: the case predicates of (l1, l2), or h1 of the value, computed once
+per value, against x.  A failing key fails all its quadruples, so the
+checks count every quadruple while their work grows with the number of
+distinct keys, not of quadruples.  The checks over homeomorphism classes
+read the factored classes of enumerate_invariants.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import seifert
-from .classifier import (
-    case_predicates,
-    classify,
-    enumerate_invariants,
-    valid_invariants,
-)
+from . import classifier, seifert
+from .classifier import FlowInvariant, case_predicates, classify, enumerate_invariants
 from .expressions import parse_manifold
 from .homology import AbelianGroup, h1, h1_seifert_presentation
 from .manifolds import (
@@ -47,39 +45,89 @@ from .surgery import Framing, framing_equivalent, invert_framing, saddle_framing
 _SEED = 0x3A7D
 
 
+def _no_x(l: int, m: int) -> int:
+    return 0
+
+
+def _l_x(l: int, m: int) -> int:
+    return l
+
+
+def _shifted_x(l: int, m: int) -> int:
+    return 2 * m - l
+
+
+# What each side supplies of x, per case in case order: x is
+# x1(l1, m1) + x2(l2, m2), the rest of what the case's h1 formula reads.
+_X_READS = ((_no_x, _l_x), (_l_x, _no_x), (_no_x, _no_x), (_no_x, _shifted_x),
+            (_shifted_x, _no_x), (_no_x, _no_x), (_no_x, _no_x))
+
+
 def tally(bound: int) -> tuple[dict, dict]:
-    """Classify every admissible quadruple with |entries| <= bound once and
-    count it into two tallies, (cases, values).
+    """Count the admissible quadruples with |entries| <= bound into two
+    tallies, (cases, values), factored over the two sides.
 
     `cases` maps (l1, l2, case) to its number of quadruples.  `values`
     maps (case, manifold, x) to one list, [count, *first], where first
-    holds the key's first three invariants and x is what the case's h1
-    formula reads besides the manifold: l2 in case 1, l1 in case 2,
-    2*m2 - l2 in case 4, 2*m1 - l1 in case 5 and 0 in cases 3, 6 and 7.
-    valid_invariants yields the quadruples lexicographically, so the
-    first invariants of a key are its least.  No result outlives its
-    step: the tallies grow with the number of distinct keys, not of
-    quadruples.
+    holds the key's first three invariants in lexicographic order, its
+    least, and x is what the case's h1 formula reads besides the
+    manifold: l2 in case 1, l1 in case 2, 2*m2 - l2 in case 4,
+    2*m1 - l1 in case 5 and 0 in cases 3, 6 and 7.
+
+    Nothing is classified one quadruple at a time.  Each side's pairs are
+    grouped by l.  Each (l1, l2) cell takes its case from
+    classifier._case_of and its reads and formula from the row of
+    classifier._CASES, the table classify evaluates.  Each side's pairs
+    are bucketed by the row's read and the part of x that the side
+    supplies (_X_READS), and the formula runs once per bucket pair,
+    giving the manifold of all n1 * n2 quadruples of the product.  The
+    sides are lexicographic, so a bucket's first three pairs are its
+    least, and the product's least three quadruples are the first three
+    concatenations of them; they merge into the key's three.  A
+    FlowInvariant is built only for the quadruples kept, and
+    check_h1_case_formulas sends each of them through classify.  The
+    tests hold the tallies equal to tests/oracles.py's tally_by_classify,
+    which classifies every quadruple, at bounds 0 to 10.
     """
+    first, second = classifier._sides(bound)
+    buckets = {}  # (side, l, case) -> the side's buckets in that case
+
+    def side_buckets(side, l, pairs, case):
+        found = buckets.get(key := (side, l, case))
+        if found is None:
+            read, x_read = classifier._CASES[case - 1][side], _X_READS[case - 1][side]
+            found = buckets[key] = classifier._buckets(
+                pairs, lambda l, m: (read(l, m), x_read(l, m)))
+        return found
+
     cases = {}
-    values = {}
-    for inv in valid_invariants(bound):
-        r = classify(inv)
-        case = r.case
-        l1, l2 = inv.l1, inv.l2
-        cell = (l1, l2, case)
-        cases[cell] = cases.get(cell, 0) + 1
-        x = (0 if case >= 6 or case == 3 else l2 if case == 1
-             else l1 if case == 2 else 2 * inv.m2 - l2 if case == 4
-             else 2 * inv.m1 - l1)
-        record = values.get(key := (case, r.manifold, x))
-        if record is None:
-            values[key] = [1, inv]
-        else:
-            record[0] += 1
-            if record[0] <= 3:
-                record.append(inv)
+    values = {}  # (case, manifold, x) -> [count, least three quadruples]
+    groups2 = _by_l(second)
+    for l1, pairs1 in _by_l(first):
+        for l2, pairs2 in groups2:
+            case = classifier._case_of(l1, l2)
+            cases[(l1, l2, case)] = len(pairs1) * len(pairs2)
+            formula = classifier._CASES[case - 1][2]
+            buckets2 = side_buckets(1, l2, pairs2, case)
+            for (s1, x1), first1, n1 in side_buckets(0, l1, pairs1, case):
+                for (s2, x2), first2, n2 in buckets2:
+                    least = [a + b for a in first1 for b in first2][:3]
+                    record = values.setdefault(
+                        (case, formula(s1, s2), x1 + x2), [0, []])
+                    record[0] += n1 * n2
+                    record[1] = sorted(record[1] + least)[:3]
+    for record in values.values():
+        record[1:] = [FlowInvariant(*q) for q in record[1]]
     return cases, values
+
+
+def _by_l(side: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
+    # The side's pairs grouped by l, in order; _sides lists them
+    # lexicographically, so each group is in order too.
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for pair in side:
+        groups.setdefault(pair[0], []).append(pair)
+    return list(groups.items())
 
 
 def check_case_partition(cases):
@@ -128,7 +176,9 @@ def check_h1_case_formulas(values):
     _expected_sum_group(x), cases 4 and 5 order |x|, case 6 the trivial
     group and case 7 the _fiber_order of its fibers.  Every quadruple of
     a failing key fails, so the first three failing quadruples, in input
-    order, are among the first three of their keys."""
+    order, are among the first three of their keys.  Each of a passing
+    key's first quadruples also goes through classify, which must give
+    the key's case and manifold; one that does not fails alone."""
     h1_of = {}
     count = 0
     bad = []
@@ -145,12 +195,18 @@ def check_h1_case_formulas(values):
             ok = group == AbelianGroup(0)
         else:
             ok = group.order() == _fiber_order(m.fibers)
-        if not ok:
-            bad.extend(inv.quadruple() for inv in first)
+        for inv in first:
+            if not ok or not _classifies_as(inv, case, m):
+                bad.append(inv.quadruple())
     bad = sorted(bad)[:3]
     return (not bad,
             f"h1 matches the case formulas on {count} results"
             if not bad else f"mismatch at {bad}")
+
+
+def _classifies_as(inv, case, manifold) -> bool:
+    r = classify(inv)
+    return r.case == case and r.manifold == manifold
 
 
 def _values(groups):
@@ -287,8 +343,9 @@ def run_selfcheck(bound: int, write=print) -> int:
     enumerate_invariants, which evaluates a case formula once per
     distinct value, and `lens_like` the lens-type class representatives.
     `cases` and `values` are the two tallies of tally(bound), which
-    classifies each admissible quadruple once and keeps no result, so
-    memory grows with the number of distinct keys, not of quadruples.
+    evaluates a case formula once per pair of side buckets and keeps no
+    result per quadruple, so memory grows with the number of distinct
+    keys, not of quadruples.
     The classes come first, so that enumerate_invariants' working memory
     is freed before the tallies grow.  Returns 0 when all hard checks
     pass, 3 otherwise.

@@ -9,8 +9,13 @@ isomorphism key, the isomorphism key's flip search by a Fraction sum per
 subset instead of integers in Gray-code order, the lens space of
 Seifert data with two exceptional fibers from a linear plumbing chain
 instead of the closed formula, enumeration by keying every classified
-result instead of each distinct value once, and the order of a lattice
-quotient by counting residues over a box instead of growing a subgroup.
+result instead of each distinct value once, selfcheck's tallies by
+classifying every quadruple instead of evaluating a case formula once
+per side-bucket pair, and the order of a lattice quotient by counting
+residues over a box instead of growing a subgroup.  valid_invariants,
+the admissible quadruples in lexicographic order that these per-quadruple
+oracles walk, tests the side rule by gcd over the whole box and builds
+each invariant through validate_invariant.
 Tests compare the two routes.  invariant_factors_of_pair uses the
 package's own gcd and lcm rule, so only sum_torsion_by_snf checks h1 of
 a sum independently.  check_snf tests Smith normal form against
@@ -24,7 +29,7 @@ import math
 import random
 from fractions import Fraction
 
-from nmsflow.classifier import classify, valid_invariants
+from nmsflow.classifier import classify, validate_invariant
 from nmsflow.homology import cokernel, smith_normal_form
 from nmsflow.manifolds import homeomorphism_key, sort_key
 from nmsflow.seifert import normalize
@@ -148,6 +153,40 @@ def lens_of_plumbing_chain(fibers):
     arms = [_continued_fraction(x, y) for x, y in exc] + [[], []]
     chain = arms[0][::-1] + [-sum(y for x, y in fibers if x == 1)] + arms[1]
     return _chain_det(chain), _chain_det(chain[1:])
+
+
+def valid_invariants(bound):
+    """All admissible quadruples with |entries| <= bound, lexicographically:
+    gcd(l2, m2) = 1, and gcd(l1, m1) = 1 or (l1, m1) = (0, 2)."""
+    rng = range(-bound, bound + 1)
+    for l1, m1, l2, m2 in itertools.product(rng, repeat=4):
+        if math.gcd(l2, m2) == 1 and (math.gcd(l1, m1) == 1 or (l1, m1) == (0, 2)):
+            yield validate_invariant(l1, m1, l2, m2)
+
+
+def tally_by_classify(bound):
+    """selfcheck.tally(bound) by classifying every admissible quadruple
+    once and counting its result, in lexicographic order, so the first
+    three invariants kept per key are its least."""
+    cases = {}
+    values = {}
+    for inv in valid_invariants(bound):
+        r = classify(inv)
+        case = r.case
+        l1, l2 = inv.l1, inv.l2
+        cell = (l1, l2, case)
+        cases[cell] = cases.get(cell, 0) + 1
+        x = (0 if case >= 6 or case == 3 else l2 if case == 1
+             else l1 if case == 2 else 2 * inv.m2 - l2 if case == 4
+             else 2 * inv.m1 - l1)
+        record = values.get(key := (case, r.manifold, x))
+        if record is None:
+            values[key] = [1, inv]
+        else:
+            record[0] += 1
+            if record[0] <= 3:
+                record.append(inv)
+    return cases, values
 
 
 def enumerate_bruteforce(bound):

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from nmsflow import seifert
-from nmsflow.classifier import classify, classify_quadruple, valid_invariants
+from nmsflow.classifier import classify, classify_quadruple
 from nmsflow.manifolds import (
     ConnectedSum,
     Lens,
@@ -38,6 +38,7 @@ from oracles import (
     check_snf,
     lens_equivalent_bruteforce,
     seifert_isomorphic_bruteforce,
+    valid_invariants,
 )
 from timelimit import deadline
 

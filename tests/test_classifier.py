@@ -14,7 +14,6 @@ from nmsflow.classifier import (
     classify_quadruple,
     enumerate_invariants,
     intermediate_seifert,
-    valid_invariants,
     validate_invariant,
 )
 from nmsflow.homology import h1
@@ -29,7 +28,7 @@ from nmsflow.manifolds import (
 )
 from nmsflow.seifert import euler_number
 from nmsflow.selfcheck import check_case_partition, tally
-from oracles import enumerate_bruteforce
+from oracles import enumerate_bruteforce, valid_invariants
 from timelimit import deadline
 
 

@@ -1,4 +1,4 @@
-"""run_selfcheck's single pass over the admissible quadruples."""
+"""selfcheck's tallies and battery, against per-quadruple reference loops."""
 
 import difflib
 import itertools
@@ -6,9 +6,13 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from nmsflow import classifier, cli, selfcheck
-from nmsflow.classifier import case_predicates, classify, valid_invariants
+from nmsflow.classifier import case_predicates, classify
 from nmsflow.homology import AbelianGroup, h1
+from nmsflow.manifolds import Sphere, lens_canonical
+from oracles import tally_by_classify, valid_invariants
 from timelimit import deadline
 
 BOUNDS_0_TO_8 = Path(__file__).parent / "data" / "selfcheck_bounds.txt"
@@ -137,3 +141,82 @@ def test_h1_sum_formula_fault_names_the_first_three_quadruples(monkeypatch):
     assert selfcheck.run_selfcheck(4, write=lines.append) == 3
     fails = [line for line in lines if line.startswith("FAIL")]
     assert fails == [f"FAIL {'h1-case-formulas':<26} mismatch at {bad[:3]}"]
+
+
+@pytest.mark.parametrize("bound", range(11))
+def test_tally_equals_the_per_quadruple_oracle(bound):
+    # The factored tally against one classify per quadruple: the same
+    # cells, and per key the same count and the same first three
+    # invariants.
+    cases, values = selfcheck.tally(bound)
+    oracle_cases, oracle_values = tally_by_classify(bound)
+    assert cases == oracle_cases
+    assert values.keys() == oracle_values.keys()
+    for key, record in oracle_values.items():
+        assert values[key] == record, key
+
+
+def test_classify_fault_on_a_recorded_quadruple_fails_the_battery(monkeypatch):
+    # classify gives another manifold for the first quadruple of one
+    # case-7 key, and for no other: the battery's classify pass over the
+    # recorded quadruples must name it, and nothing else may fail.
+    bound = 4
+    _, values = selfcheck.tally(bound)
+    key, (_, inv, *_) = next((key, record) for key, record in values.items()
+                             if key[0] == 7)
+    assert key[1] != Sphere()
+    classify = selfcheck.classify
+
+    def faulty(i):
+        r = classify(i)
+        if i != inv:
+            return r
+        return classifier.ClassificationResult(i, r.case, Sphere(),
+                                               r.intermediate_seifert)
+
+    monkeypatch.setattr(selfcheck, "classify", faulty)
+    lines = []
+    assert selfcheck.run_selfcheck(bound, write=lines.append) == 3
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert fails == [f"FAIL {'h1-case-formulas':<26} mismatch at {[inv.quadruple()]}"]
+
+
+def test_battery_classifies_only_recorded_quadruples(monkeypatch):
+    # The tally evaluates case formulas per side-bucket pair; classify runs
+    # once per recorded quadruple, at most three per key, not once per
+    # quadruple.
+    _, values = selfcheck.tally(6)
+    recorded = sum(min(n, 3) for n, *_ in values.values())
+    assert recorded == 534
+    calls = 0
+    classify = selfcheck.classify
+
+    def counted(inv):
+        nonlocal calls
+        calls += 1
+        return classify(inv)
+
+    monkeypatch.setattr(selfcheck, "classify", counted)
+    assert selfcheck.run_selfcheck(6, write=lambda line: None) == 0
+    assert calls == recorded
+
+
+def test_case_formula_fault_fails_the_battery(monkeypatch):
+    # Make case 4's formula give a lens space whose order is one more than
+    # the case's closed form.  The tally must read the same table as
+    # classify: it still equals the per-quadruple oracle, and h1 fails on
+    # every case-4 quadruple.
+    bound = 3
+    read1, read2, _ = classifier._CASES[3]
+    table = list(classifier._CASES)
+    table[3] = (read1, read2,
+                lambda _, lens: lens_canonical(h1(lens).order() + 1, 1))
+    monkeypatch.setattr(classifier, "_CASES", tuple(table))
+    assert selfcheck.tally(bound) == tally_by_classify(bound)
+    case4 = [inv.quadruple() for inv in valid_invariants(bound)
+             if classify(inv).case == 4]
+    assert len(case4) > 3
+    lines = []
+    assert selfcheck.run_selfcheck(bound, write=lines.append) == 3
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert fails == [f"FAIL {'h1-case-formulas':<26} mismatch at {case4[:3]}"]
