@@ -17,6 +17,7 @@ from timelimit import deadline
 
 GOLDEN = Path(__file__).parent / "data" / "golden_classify.tsv"
 ENUMERATE_10 = Path(__file__).parent / "data" / "enumerate_bound_10.tsv"
+CLI_SURFACE = Path(__file__).parent / "data" / "cli_surface.txt"
 
 
 def test_classify_human_output(capsys):
@@ -187,6 +188,50 @@ def test_bound_caps(capsys):
         main(["selfcheck", "--help"])
     assert exc.value.code == 0
     assert "at most 15" in " ".join(capsys.readouterr().out.split())
+
+
+# The command lines whose exit code, stdout and stderr cli_surface.txt
+# records: usage errors of every kind, help, and where options end.
+_SURFACE = [
+    [], ["frobnicate"], ["--help"], ["-hx"], ["--json", "classify", "0", "1", "5", "2"],
+    ["--", "h1", "S3"],
+    *([command, "--help"] for command in ("classify", "homeo", "h1", "enumerate", "selfcheck")),
+    ["classify", "0", "1", "5"], ["classify", "0", "1", "5", "2", "7"],
+    ["homeo", "S3"], ["homeo", "S3", "S3", "RP3"], ["h1"], ["h1", "S3", "RP3"],
+    ["enumerate", "3"], ["selfcheck", "3"],
+    *(["classify", operand, "1", "5", "2"]
+      for operand in ("1_0", "\u0663", "+3", " 3", "3.0", "", "-")),
+    ["classify", "3", "-1", "5", "2"], ["classify", "-x", "0", "1", "5", "2"],
+    ["classify", "0", "1", "5", "2", "--json=1"], ["classify", "--=1"],
+    ["enumerate", "--bound", "x"], ["enumerate", "--bound", "-3"], ["enumerate", "--bound"],
+    ["enumerate", "--bound", "--"], ["enumerate", "--bound", "31"],
+    ["selfcheck", "--bound", "16"], ["selfcheck", "--bound=5"], ["enumerate", "--=1"],
+    ["classify", "--json", "0", "1", "5", "2"], ["classify", "0", "1", "5", "2", "--js"],
+    ["selfcheck", "--b", "3"], ["enumerate", "--"], ["enumerate", "--", "--bound", "3"],
+    ["h1", "-L(7,2)"], ["h1", "--", "-L(7,2)"], ["h1", "-L(7,2) # RP3"], ["h1", "--=1"],
+    ["h1", "S3", "--"], ["h1", "S3", "x", "--", "y"], ["homeo", "--", "-L(7,2)", "S3"],
+    ["classify", "x", "1", "5", "2", "-h"], ["classify", "x", "--=1"], ["h1", "--he", "x"],
+]
+
+
+def _surface(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"$ {ascii(argv)}\nexit {code}\n-- stdout\n{out.getvalue()}-- stderr\n{err.getvalue()}"
+
+
+def test_command_line_surface_matches_table(monkeypatch):
+    # Help is wrapped to the terminal's width, read from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    out = "".join(map(_surface, _SURFACE))
+    table = CLI_SURFACE.read_text()
+    diff = difflib.unified_diff(table.splitlines(), out.splitlines(), "table",
+                                "command line", n=1, lineterm="")
+    assert out == table, "lines that differ:\n" + "\n".join(diff)
 
 
 def test_selfcheck_command(capsys):
