@@ -11,11 +11,12 @@ Seifert data with two exceptional fibers from a linear plumbing chain
 instead of the closed formula, enumeration by keying every classified
 result instead of each distinct value once, selfcheck's tallies by
 classifying every quadruple instead of evaluating a case formula once
-per side-bucket pair, and the order of a lattice quotient by counting
-residues over a box instead of growing a subgroup.  valid_invariants,
-the admissible quadruples in lexicographic order that these per-quadruple
-oracles walk, tests the side rule by gcd over the whole box and builds
-each invariant through validate_invariant.
+per side-bucket pair, the order of a lattice quotient by counting
+residues over a box instead of growing a subgroup, and the command line
+by argparse, one subparser per command, instead of the CLI's own reader.
+valid_invariants, the admissible quadruples in lexicographic order that
+these per-quadruple oracles walk, tests the side rule by gcd over the
+whole box and builds each invariant through validate_invariant.
 Tests compare the two routes.  invariant_factors_of_pair uses the
 package's own gcd and lcm rule, so only sum_torsion_by_snf checks h1 of
 a sum independently.  check_snf tests Smith normal form against
@@ -24,11 +25,13 @@ cofactor arithmetic and a lattice quotient counted by subgroup closure.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import random
 from fractions import Fraction
 
+from nmsflow import cli
 from nmsflow.classifier import classify, validate_invariant
 from nmsflow.homology import cokernel, smith_normal_form
 from nmsflow.manifolds import homeomorphism_key, sort_key
@@ -305,3 +308,35 @@ def coker_order_by_box(m, det):
     for parts in itertools.product(*multiples):
         seen.add(tuple(sum(column) % d for column in zip(*parts)))
     return len(seen)
+
+
+def _argparse_type(kind):
+    """`kind`, raising the argparse error for a value that it rejects."""
+    def convert(text):
+        try:
+            return kind(text)
+        except cli._UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def argparse_command_line() -> argparse.ArgumentParser:
+    """The commands of cli._COMMANDS as an argparse parser, one subparser
+    per command, as the CLI read them before it had its own reader; help
+    is laid out 80 columns wide."""
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    parser = argparse.ArgumentParser(prog="nmsflow", description=cli._DESCRIPTION,
+                                     formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, operands, options, _) in cli._COMMANDS.items():
+        p = sub.add_parser(command, help=text, formatter_class=formatter)
+        for name, kind in operands:
+            p.add_argument(name, type=_argparse_type(kind))
+        for name, kind, default, text in options:
+            if kind is None:
+                p.add_argument(name, action="store_true", help=text)
+            else:
+                p.add_argument(name, type=_argparse_type(kind), default=default, help=text)
+    return parser

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nmsflow.cli import _build_parser, main
 from nmsflow.expressions import parse_manifold
+from oracles import argparse_command_line
 from timelimit import deadline
 
 GOLDEN = Path(__file__).parent / "data" / "golden_classify.tsv"
@@ -121,7 +122,7 @@ def test_homeo_parse_error_exits_one(capsys):
 
 
 def test_an_expression_that_starts_with_a_minus_follows_a_double_dash(capsys):
-    # Without "--", argparse reads "-L(7,2)" as an option and exits 2.
+    # Without "--", the command line reads "-L(7,2)" as an option and exits 2.
     for argv in (["h1", "--", "-L(7,2)"], ["homeo", "--", "-L(7,2)", "S3"]):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -232,6 +233,71 @@ def test_command_line_surface_matches_table(monkeypatch):
     diff = difflib.unified_diff(table.splitlines(), out.splitlines(), "table",
                                 "command line", n=1, lineterm="")
     assert out == table, "lines that differ:\n" + "\n".join(diff)
+
+
+def _outcome(call, argv):
+    """(exit code, stdout, stderr, namespace fields) of call(argv); the
+    exit code is None if it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    code = fields = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code is None and call is not main:
+        fields = vars(result)
+    elif code is None:
+        code = result
+    return code, out.getvalue(), err.getvalue(), fields
+
+
+# Command-line tokens: every option, its prefixes and "=" forms, "--", "-"
+# and "", negative integers in ASCII and other digits, expressions with and
+# without a leading "-", and nonnegative integers only up to 3, so that a
+# --bound keeps each run short.
+_TOKEN = st.one_of(
+    st.sampled_from(["--json", "--js", "--j", "--json=", "--json=1", "--bound", "--b",
+                     "--bou", "--bound=", "--bound=2", "--b=3", "--bound=-1", "--help",
+                     "--he", "--h", "--help=x", "-h", "-hh", "-hx", "-h=h", "-h=", "--=1",
+                     "--", "--", "-", "", "---", "-x", "-j"]),
+    st.integers(0, 3).map(str),
+    st.integers(-10**6, -1).map(str),
+    st.sampled_from(["-\u0663", "\u0663", "-1.5", "-.5", "1_0", "+2", "-0"]),
+    st.sampled_from(["S3", "L(7,2)", "-L(7,2)", "-L(7,2) # RP3", "RP3 # S2xS1", "-S3",
+                     "SFS(S2; (2,1),(3,1))", "L(4,2)"]))
+_ARGV = st.builds(lambda before, command, after: before + command + after,
+                  st.lists(_TOKEN, max_size=1),
+                  st.sampled_from([["classify"], ["homeo"], ["h1"], ["enumerate"],
+                                   ["selfcheck"], ["frob"], []]),
+                  st.lists(_TOKEN, max_size=7))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGV)
+@example(["classify", "1", "--", "2", "3", "4"])
+@example(["enumerate", "--bound", "3", "--"])
+@example(["homeo", "S3", "--json", "--", "-L(7,2)"])
+@example(["classify", "1", "--", "2", "--", "3"])
+@example(["homeo", "--", "S3", "--"])
+def test_reader_decides_as_argparse_and_every_command_line_exits_cleanly(argv):
+    # The reader gives argparse's namespace, exit code, help and messages,
+    # but for one case: argparse also drops a second "--" that makes up a
+    # whole operand, and hands the command an empty list in its place (a
+    # TypeError traceback from classify and homeo).  The reader reads it as
+    # the operand "--".
+    if argv.count("--") < 2:
+        assert _outcome(_build_parser().parse_args, argv) == _outcome(
+            argparse_command_line().parse_args, argv)
+    # The whole command exits 0, 1, 2 or 3; an uncaught exception fails
+    # the test with its traceback.  A usage error writes nothing to stdout.
+    with deadline(10.0):
+        code, out, err, _ = _outcome(main, argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage: nmsflow") or (
+            err.startswith("error: ") and err.count("\n") == 1), err
 
 
 def test_selfcheck_command(capsys):
@@ -438,9 +504,9 @@ _BIG_A = 10**2501  # 2,502 digits, as is _BIG_A + 3
 @example(["homeo", _sfs(_TWENTY), _sfs(_TWENTY_REWRITE)])
 def test_h1_and_homeo_answer_or_report_every_expression(argv):
     # Exit 0 with one answer line, or 1 with one located error line; an
-    # uncaught exception fails the test with its traceback.  argparse reads
-    # an argument that starts with "-" as an option: that is exit 2 with
-    # usage, before any expression is read.
+    # uncaught exception fails the test with its traceback.  The command
+    # line reads an argument that starts with "-" as an option: that is
+    # exit 2 with usage, before any expression is read.
     out, err = io.StringIO(), io.StringIO()
     with deadline(10.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

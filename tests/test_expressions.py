@@ -1,4 +1,3 @@
-import argparse
 import math
 import re
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nmsflow import expressions
-from nmsflow.cli import _ascii_int
+from nmsflow.cli import _UsageError, _ascii_int
 from nmsflow.expressions import INTEGER, ParseError, parse_manifold, render_manifold
 from nmsflow.manifolds import (
     Lens,
@@ -109,7 +108,7 @@ def test_integer_rule_is_an_optional_minus_and_ascii_digits():
         assert _ascii_int(text, "operand") == int(text)
     for text in ("", "-", "--5", "+2", "1_0", " 3", "3\n", "\u0663", "\u00b2"):
         assert INTEGER.fullmatch(text) is None
-        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+        with pytest.raises(_UsageError, match="not an integer"):
             _ascii_int(text, "operand")
 
 
