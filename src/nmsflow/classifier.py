@@ -187,12 +187,12 @@ def _three_fibers(f1: tuple[int, int], f2: tuple[int, int]) -> seifert.SeifertDa
 # maps side i's pair (l, m) to what case k reads of it, and the manifold is
 # formula(read1(l1, m1), read2(l2, m2)).  The formula sees nothing else, so
 # two quadruples of one case whose sides read equal give the same manifold;
-# enumerate_invariants and selfcheck.tally factor over that.  The lens
-# cases read their lens value itself, so sides that read equal are sides
-# with one manifold, and enumerate evaluates a formula once per distinct
-# value in each role pair.
+# _products, the walk that enumerate_invariants and selfcheck.tally fold
+# over, factors over that.  The lens cases read their lens value itself,
+# so sides that read equal are sides with one manifold, and enumerate
+# evaluates a formula once per distinct value in each role pair.
 # A row that reads both sides alike has a symmetric formula, formula(a, b)
-# == formula(b, a), and enumerate_invariants relies on it.
+# == formula(b, a): on such rows _products walks unordered bucket pairs.
 _CASES = (
     # 1. l1 = 0, l2 != 0:     L(l2, m2) # RP3
     (_unread, _lens, lambda _, lens: sum_normalize([lens, RP3()])),
@@ -306,41 +306,62 @@ def _buckets(pairs: list[tuple[int, int]],
     return [(r, first, n) for r, (first, n) in buckets.items()]
 
 
-def _bucket_pairs(buckets1: list, buckets2: list, symmetric: bool):
-    # (read1, read2, example, count) of each product of one bucket per
-    # side.  A symmetric pair (same buckets on both sides, symmetric
-    # formula) walks unordered bucket pairs: an off-diagonal one stands for
-    # both orders, so it counts twice, and its example is the lesser
-    # concatenation, the earlier bucket's first pair first.
-    if not symmetric:
-        for s1, first1, n1 in buckets1:
-            for s2, first2, n2 in buckets2:
-                yield s1, s2, first1[0] + first2[0], n1 * n2
-        return
-    for i, (s1, first1, n1) in enumerate(buckets1):
-        yield s1, s1, first1[0] + first1[0], n1 * n1
-        for s2, first2, n2 in buckets1[i + 1:]:
-            yield s1, s2, first1[0] + first2[0], 2 * n1 * n2
+def _products(sides: tuple[list[tuple[int, int]], list[tuple[int, int]]],
+              reads):
+    """The admissible quadruples of `sides`, walked as products of one
+    bucket per side: yields (case, read1, read2, count, firsts) per product.
+
+    `sides` is what _sides gives, and reads[case - 1] begins with the two
+    reads of a case, (read1, read2), as a row of _CASES does.  Each side's
+    pairs are split by role: l = 0, |l| = 1 or |l| >= 2.  The two roles
+    alone decide the case, since case_predicates tests nothing else.
+    Within a role pair, each side's pairs are bucketed by that case's read
+    of the side, and each product of one bucket per side is yielded once,
+    with the two bucket reads: anything that is a function of the case and
+    the two reads, as the case formula's value is, holds for every
+    quadruple of the product.  `count` is the product of the two bucket
+    sizes.  `firsts` holds (first1, first2), each bucket's first three
+    pairs; the sides are lexicographic, so the product's least quadruples
+    are the first concatenations a + b, a in first1 and b in first2, and
+    the least of all is first1[0] + first2[0] of firsts[0].
+
+    A row whose two reads are one function, on a role pair with the same
+    pairs on both sides (case 6, and case 7 in _CASES), has the same
+    buckets on both sides.  There the walk takes unordered bucket pairs,
+    so the function of the reads must be symmetric: an off-diagonal pair
+    stands for both orders, counts twice, and carries both orders in
+    firsts, the earlier bucket's first pairs first.
+    """
+    first, second = sides
+    roles2 = _by_role(second)
+    for role1, pairs1 in _by_role(first):
+        for role2, pairs2 in roles2:
+            case = _case_of(role1, role2)
+            read1, read2 = reads[case - 1][:2]
+            buckets1 = _buckets(pairs1, read1)
+            if read1 is not read2 or pairs1 != pairs2:
+                buckets2 = _buckets(pairs2, read2)
+                for s1, first1, n1 in buckets1:
+                    for s2, first2, n2 in buckets2:
+                        yield case, s1, s2, n1 * n2, ((first1, first2),)
+                continue
+            for i, (s1, first1, n1) in enumerate(buckets1):
+                yield case, s1, s1, n1 * n1, ((first1, first1),)
+                for s2, first2, n2 in buckets1[i + 1:]:
+                    yield (case, s1, s2, 2 * n1 * n2,
+                           ((first1, first2), (first2, first1)))
 
 
 def enumerate_invariants(bound: int) -> list[EnumeratedClass]:
     """Group the admissible quadruples with |entries| <= bound by
     homeomorphism class.
 
-    The enumeration is factored over the two sides.  Each side's pairs are
-    split by role: l = 0, |l| = 1 or |l| >= 2.  The two roles alone decide
-    the case, since case_predicates tests nothing else.  Within a role
-    pair, each side's pairs are bucketed by that case's reads in _CASES,
-    and the case formula is evaluated once per bucket pair, on the two
-    bucket reads: the value classify() gives every quadruple of the
-    product.  The first pairs of the two buckets stand for the product:
-    its count is the product of the two bucket sizes, and its example,
-    their concatenation, is its lexicographically least quadruple.  In
-    case 7, whose two sides have the same buckets and whose formula is
-    symmetric, a bucket pair and its swap are one product of twice the
-    count.  A class sums the counts of its bucket pairs and takes the
-    least of their examples.  So the formula runs once per distinct value
-    in each role pair: at bound 10, 648 evaluations for 571 distinct
+    A fold over _products with the reads of _CASES: the case formula is
+    evaluated once per product, on its two bucket reads, and gives the
+    value classify() gives every quadruple of the product.  A class sums
+    the counts of its products and takes the least of their least
+    quadruples as its example.  So the formula runs once per distinct
+    value in each role pair: at bound 10, 648 evaluations for 571 distinct
     values and 65,792 quadruples.
 
     Each distinct value is keyed once, in a memo that lives for one call
@@ -348,30 +369,24 @@ def enumerate_invariants(bound: int) -> list[EnumeratedClass]:
     example, values].  Classes are ordered by the fixed total order on
     representatives, so the output is deterministic.
     """
-    first, second = _sides(bound)
-    roles2 = _by_role(second)
+    table = _CASES
     records: dict[Manifold, list] = {}  # value -> the record of its class
     classes: dict[Manifold, list] = {}  # key -> [count, example, values]
-    for role1, pairs1 in _by_role(first):
-        for role2, pairs2 in roles2:
-            read1, read2, formula = _CASES[_case_of(role1, role2) - 1]
-            buckets1 = _buckets(pairs1, read1)
-            symmetric = read1 is read2 and pairs1 == pairs2
-            buckets2 = buckets1 if symmetric else _buckets(pairs2, read2)
-            for s1, s2, example, count in _bucket_pairs(buckets1, buckets2,
-                                                        symmetric):
-                manifold = formula(s1, s2)
-                record = records.get(manifold)
-                if record is None:
-                    key = homeomorphism_key(manifold)
-                    record = classes.get(key)
-                    if record is None:
-                        record = classes[key] = [0, example, []]
-                    record[2].append(manifold)
-                    records[manifold] = record
-                record[0] += count
-                if example < record[1]:
-                    record[1] = example
+    for case, s1, s2, count, firsts in _products(_sides(bound), table):
+        manifold = table[case - 1][2](s1, s2)
+        first1, first2 = firsts[0]
+        example = first1[0] + first2[0]
+        record = records.get(manifold)
+        if record is None:
+            key = homeomorphism_key(manifold)
+            record = classes.get(key)
+            if record is None:
+                record = classes[key] = [0, example, []]
+            record[2].append(manifold)
+            records[manifold] = record
+        record[0] += count
+        if example < record[1]:
+            record[1] = example
     return [EnumeratedClass(key, count, example, frozenset(values))
             for key, (count, example, values) in sorted(
                 classes.items(), key=lambda item: sort_key(item[0]))]

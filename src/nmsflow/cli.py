@@ -17,9 +17,9 @@ enumerate must be from 0 to 30, and that of selfcheck from 0 to 15.  The
 caps keep a run to seconds: the output of enumerate grows about as
 bound^4 (39,178 classes at bound 30, about 1.5 s and 46 MB peak RSS on
 a shared 2-CPU x86_64 host, Python 3.11.7), and so does the time of
-selfcheck, whose tally evaluates one case formula per pair of side
+selfcheck, whose tally evaluates one case formula per product of side
 buckets instead of classifying each admissible quadruple (332,352 at
-bound 15, about 0.3 s and 19 MB peak RSS).
+bound 15, about 0.22 s and 18 MB peak RSS).
 
 An expression that starts with "-" goes after "--" (`h1 -- "-L(7,2)"`,
 which exits 1 with the parse error at position 0); the command line reads

@@ -58,8 +58,8 @@ class Value:
     the constructor, of which every value is a fixed point.  Fields are
     read-only.  The five busy classes write the rule out field by field,
     two to five times as fast; one `selfcheck --bound 6` hashes and
-    compares SeifertOverS2 1,412 and 686 times, Lens 1,328 and 729, the
-    _Atom classes 586 and 620, ConnectedSum 158 and 141, and
+    compares SeifertOverS2 928 and 268 times, Lens 1,056 and 693, the
+    _Atom classes 474 and 591, ConnectedSum 133 and 144, and
     AbelianGroup 188 and 434.  The only values stored without
     the constructors' checks are the normal forms that _seifert stores and
     the sorted summands that sum_normalize stores, through the same

@@ -12,20 +12,22 @@ hard failure makes the run return 3.  The three per-quadruple checks
 read the two tallies of tally(), which count the admissible quadruples
 by (l1, l2, case) and by (case, manifold, x), x being the rest of what
 the case's h1 formula reads, and keep the first three quadruples of each
-key.  Like enumerate_invariants, the tally evaluates a case formula once
-per pair of side buckets; classify runs only on the kept quadruples, in
-the h1 check, and the tests hold the tallies equal to an oracle that
-classifies every quadruple.  Each check's verdict is a function of a
-key: the case predicates of (l1, l2), or h1 of the value, computed once
-per value, against x.  A failing key fails all its quadruples, so the
-checks count every quadruple while their work grows with the number of
-distinct keys, not of quadruples.  The checks over homeomorphism classes
-read the factored classes of enumerate_invariants.
+key.  Like enumerate_invariants, the tally is a fold over the walk
+classifier._products, one case formula per product of side buckets;
+classify runs only on the kept quadruples, in the h1 check, and the tests
+hold the tallies equal to an oracle that classifies every quadruple.
+Each check's verdict is a function of a key: the case predicates of
+(l1, l2), or h1 of the value, computed once per value, against x.  A
+failing key fails all its quadruples, so the checks count every
+quadruple while their work grows with the number of distinct keys, not
+of quadruples.  The checks over homeomorphism classes read the factored
+classes of enumerate_invariants.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from . import classifier, seifert
 from .classifier import FlowInvariant, case_predicates, classify, enumerate_invariants
@@ -65,69 +67,52 @@ _X_READS = ((_no_x, _l_x), (_l_x, _no_x), (_no_x, _no_x), (_no_x, _shifted_x),
 
 def tally(bound: int) -> tuple[dict, dict]:
     """Count the admissible quadruples with |entries| <= bound into two
-    tallies, (cases, values), factored over the two sides.
+    tallies, (cases, values), without classifying them one at a time.
 
-    `cases` maps (l1, l2, case) to its number of quadruples.  `values`
-    maps (case, manifold, x) to one list, [count, *first], where first
-    holds the key's first three invariants in lexicographic order, its
-    least, and x is what the case's h1 formula reads besides the
+    `cases` maps (l1, l2, case) to its number of quadruples, the product
+    of the numbers of pairs with l1 and with l2 in classifier._sides.
+    `values` maps (case, manifold, x) to one list, [count, *first], where
+    first holds the key's first three invariants in lexicographic order,
+    its least, and x is what the case's h1 formula reads besides the
     manifold: l2 in case 1, l1 in case 2, 2*m2 - l2 in case 4,
     2*m1 - l1 in case 5 and 0 in cases 3, 6 and 7.
 
-    Nothing is classified one quadruple at a time.  Each side's pairs are
-    grouped by l.  Each (l1, l2) cell takes its case from
-    classifier._case_of and its reads and formula from the row of
-    classifier._CASES, the table classify evaluates.  Each side's pairs
-    are bucketed by the row's read and the part of x that the side
-    supplies (_X_READS), and the formula runs once per bucket pair,
-    giving the manifold of all n1 * n2 quadruples of the product.  The
-    sides are lexicographic, so a bucket's first three pairs are its
-    least, and the product's least three quadruples are the first three
-    concatenations of them; they merge into the key's three.  A
+    `values` is a fold over classifier._products.  A side's read in case
+    k is the pair of its read in row k of classifier._CASES, the table
+    classify evaluates, and the part of x it supplies (_X_READS); both
+    tables are read at each call.  The row's formula gives the manifold of
+    each product, whose least quadruples merge into the key's three.  A
     FlowInvariant is built only for the quadruples kept, and
     check_h1_case_formulas sends each of them through classify.  The
     tests hold the tallies equal to tests/oracles.py's tally_by_classify,
     which classifies every quadruple, at bounds 0 to 10.
     """
-    first, second = classifier._sides(bound)
-    buckets = {}  # (side, l, case) -> the side's buckets in that case
-
-    def side_buckets(side, l, pairs, case):
-        found = buckets.get(key := (side, l, case))
-        if found is None:
-            read, x_read = classifier._CASES[case - 1][side], _X_READS[case - 1][side]
-            found = buckets[key] = classifier._buckets(
-                pairs, lambda l, m: (read(l, m), x_read(l, m)))
-        return found
-
-    cases = {}
+    sides = classifier._sides(bound)
+    per_l1, per_l2 = (Counter(l for l, _ in side) for side in sides)
+    cases = {(l1, l2, classifier._case_of(l1, l2)): n1 * n2
+             for l1, n1 in per_l1.items() for l2, n2 in per_l2.items()}
+    table = classifier._CASES
+    reads = []
+    for (read1, read2, _), (x1, x2) in zip(table, _X_READS):
+        side1 = _with_x(read1, x1)
+        reads.append((side1, side1 if (read1, x1) == (read2, x2)
+                      else _with_x(read2, x2)))
     values = {}  # (case, manifold, x) -> [count, least three quadruples]
-    groups2 = _by_l(second)
-    for l1, pairs1 in _by_l(first):
-        for l2, pairs2 in groups2:
-            case = classifier._case_of(l1, l2)
-            cases[(l1, l2, case)] = len(pairs1) * len(pairs2)
-            formula = classifier._CASES[case - 1][2]
-            buckets2 = side_buckets(1, l2, pairs2, case)
-            for (s1, x1), first1, n1 in side_buckets(0, l1, pairs1, case):
-                for (s2, x2), first2, n2 in buckets2:
-                    least = [a + b for a in first1 for b in first2][:3]
-                    record = values.setdefault(
-                        (case, formula(s1, s2), x1 + x2), [0, []])
-                    record[0] += n1 * n2
-                    record[1] = sorted(record[1] + least)[:3]
+    for case, (s1, x1), (s2, x2), count, firsts in classifier._products(
+            sides, reads):
+        record = values.setdefault(
+            (case, table[case - 1][2](s1, s2), x1 + x2), [0, []])
+        record[0] += count
+        record[1] = sorted(record[1] + [a + b for first1, first2 in firsts
+                                        for a in first1 for b in first2])[:3]
     for record in values.values():
         record[1:] = [FlowInvariant(*q) for q in record[1]]
     return cases, values
 
 
-def _by_l(side: list[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
-    # The side's pairs grouped by l, in order; _sides lists them
-    # lexicographically, so each group is in order too.
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for pair in side:
-        groups.setdefault(pair[0], []).append(pair)
-    return list(groups.items())
+def _with_x(read, x_read):
+    # One side's read in the tally: the case's read and the side's part of x.
+    return lambda l, m: (read(l, m), x_read(l, m))
 
 
 def check_case_partition(cases):
@@ -342,10 +327,10 @@ def run_selfcheck(bound: int, write=print) -> int:
     `groups` holds the factored homeomorphism classes of
     enumerate_invariants, which evaluates a case formula once per
     distinct value, and `lens_like` the lens-type class representatives.
-    `cases` and `values` are the two tallies of tally(bound), which
-    evaluates a case formula once per pair of side buckets and keeps no
-    result per quadruple, so memory grows with the number of distinct
-    keys, not of quadruples.
+    `cases` and `values` are the two tallies of tally(bound), a fold over
+    the same walk as enumerate_invariants' that keeps no result per
+    quadruple, so memory grows with the number of distinct keys, not of
+    quadruples.
     The classes come first, so that enumerate_invariants' working memory
     is freed before the tallies grow.  Returns 0 when all hard checks
     pass, 3 otherwise.

@@ -201,16 +201,22 @@ def test_battery_classifies_only_recorded_quadruples(monkeypatch):
     assert calls == recorded
 
 
-def test_case_formula_fault_fails_the_battery(monkeypatch):
-    # Make case 4's formula give a lens space whose order is one more than
-    # the case's closed form.  The tally must read the same table as
-    # classify: it still equals the per-quadruple oracle, and h1 fails on
-    # every case-4 quadruple.
+@pytest.mark.parametrize("edit", ["formula", "read"])
+def test_case_formula_fault_fails_the_battery(monkeypatch, edit):
+    # Make case 4 give a lens space whose order is not the case's closed
+    # form: its formula gives one more than the order, or its side-2 read
+    # is the side's own lens L(l2, m2), not L(2*m2 - l2, m2).  The tally
+    # must read the same table as classify, at the time it is called: it
+    # still equals the per-quadruple oracle, and h1 fails on every case-4
+    # quadruple.
     bound = 3
-    read1, read2, _ = classifier._CASES[3]
+    read1, read2, formula = classifier._CASES[3]
     table = list(classifier._CASES)
-    table[3] = (read1, read2,
-                lambda _, lens: lens_canonical(h1(lens).order() + 1, 1))
+    if edit == "formula":
+        table[3] = (read1, read2,
+                    lambda _, lens: lens_canonical(h1(lens).order() + 1, 1))
+    else:
+        table[3] = (read1, classifier._lens, formula)
     monkeypatch.setattr(classifier, "_CASES", tuple(table))
     assert selfcheck.tally(bound) == tally_by_classify(bound)
     case4 = [inv.quadruple() for inv in valid_invariants(bound)
@@ -220,3 +226,29 @@ def test_case_formula_fault_fails_the_battery(monkeypatch):
     assert selfcheck.run_selfcheck(bound, write=lines.append) == 3
     fails = [line for line in lines if line.startswith("FAIL")]
     assert fails == [f"FAIL {'h1-case-formulas':<26} mismatch at {case4[:3]}"]
+
+
+def test_one_formula_evaluation_per_product_of_side_buckets(monkeypatch):
+    # The tally and enumerate fold over one walk, which evaluates a case
+    # formula once per product of a bucket per side within a role pair,
+    # and once per unordered pair on the symmetric rows.  A walk per
+    # (l1, l2) cell would repeat the formulas of cells that differ only
+    # in the signs of l1 and l2: 789 evaluations at bound 6, 22,365 at 15.
+    evaluations = 0
+
+    def counted(formula):
+        def evaluate(s1, s2):
+            nonlocal evaluations
+            evaluations += 1
+            return formula(s1, s2)
+        return evaluate
+
+    monkeypatch.setattr(classifier, "_CASES", tuple(
+        (read1, read2, counted(formula))
+        for read1, read2, formula in classifier._CASES))
+    for run, bound, expected in ((selfcheck.tally, 6, 178),
+                                 (selfcheck.tally, 15, 3240),
+                                 (classifier.enumerate_invariants, 10, 648)):
+        evaluations = 0
+        run(bound)
+        assert evaluations == expected, (run.__name__, bound)
