@@ -233,7 +233,8 @@ def test_enumerate_invariants_classifies_once_per_side_class_pair(monkeypatch):
 
 
 def test_rows_that_read_both_sides_alike_have_symmetric_formulas():
-    # enumerate_invariants walks unordered bucket pairs on such rows; case 7
+    # classifier._products, the walk of enumerate_invariants and the
+    # selfcheck tally, takes unordered bucket pairs on such rows; case 7
     # is the one whose reads vary, (|l|, m^-1 mod |l|).
     sides = classifier._sides(6)[1]
     alike = []

@@ -182,9 +182,9 @@ def test_classify_fault_on_a_recorded_quadruple_fails_the_battery(monkeypatch):
 
 
 def test_battery_classifies_only_recorded_quadruples(monkeypatch):
-    # The tally evaluates case formulas per side-bucket pair; classify runs
-    # once per recorded quadruple, at most three per key, not once per
-    # quadruple.
+    # The tally evaluates case formulas per product of side buckets;
+    # classify runs once per recorded quadruple, at most three per key,
+    # not once per quadruple.
     _, values = selfcheck.tally(6)
     recorded = sum(min(n, 3) for n, *_ in values.values())
     assert recorded == 534
@@ -252,3 +252,19 @@ def test_one_formula_evaluation_per_product_of_side_buckets(monkeypatch):
         evaluations = 0
         run(bound)
         assert evaluations == expected, (run.__name__, bound)
+
+
+def test_tally_keeps_both_orders_of_a_symmetric_product(monkeypatch):
+    # On the rows of _CASES every case-7 bucket holds at least four pairs,
+    # so a product's least three quadruples come from its first order.
+    # Let case 7 read each side as its own pair, under the symmetric
+    # formula {a, b}: each bucket is one pair, so an off-diagonal product
+    # holds a quadruple and its swap, and keeps the swap only through the
+    # second order of its first pairs.
+    def own_pair(l, m):
+        return (l, m)
+
+    table = list(classifier._CASES)
+    table[6] = (own_pair, own_pair, lambda a, b: frozenset((a, b)))
+    monkeypatch.setattr(classifier, "_CASES", tuple(table))
+    assert selfcheck.tally(3) == tally_by_classify(3)
