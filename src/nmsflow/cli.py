@@ -27,7 +27,8 @@ it as an option otherwise, and exits 2 saying that the expression is
 missing.
 
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
-error, 2 inadmissible quadruple or usage error, 3 selfcheck failure.
+error or a homeo operand past the key's search cap (seifert), 2
+inadmissible quadruple or usage error, 3 selfcheck failure.
 
 Start-up is most of the time of one `classify`: the package imports
 neither dataclasses nor typing, nor fractions outside
@@ -35,16 +36,15 @@ seifert.euler_number, or random outside the seeded selfcheck check, and
 importing nmsflow.cli loads every module whose functions the benchmark
 traces, selfcheck and surgery included.  It never imports json:
 `classify --json` writes its object from a fixed template
-(_classify_report).  Nor does it import argparse, which would load
-gettext, locale and shutil (and through shutil bz2, lzma and zlib) to
-build a parser: _CommandLine reads the command line from the table
-_COMMANDS, and makes the decisions argparse made with one subparser per
-command, down to its messages and help text.
+(_classify_report).  A plain command line, the kind people and scripts
+type, _plain reads from the table _COMMANDS without importing argparse,
+which loads gettext and locale.  Every other one, help and usage errors
+included, goes to an argparse parser built from the same table
+(_parser), which makes each decision and writes each message.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from types import SimpleNamespace
 
@@ -56,6 +56,7 @@ from .classifier import (
 from .expressions import INTEGER, ParseError, parse_manifold
 from .homology import h1
 from .manifolds import homeomorphic, is_prime
+from .seifert import _TooManyFlips
 from .selfcheck import run_selfcheck
 
 MAX_BOUND = 30
@@ -63,8 +64,8 @@ MAX_SELFCHECK_BOUND = 15
 
 
 class _UsageError(Exception):
-    """A command-line value that its type rejects; _CommandLine reports it
-    as a usage error of the argument."""
+    """A command-line value that its type rejects; the command line
+    reports it as a usage error of the argument."""
 
 
 def _ascii_int(text: str, name: str) -> int:
@@ -152,12 +153,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_homeo(args) -> int:
     try:
-        left = parse_manifold(args.left)
-        right = parse_manifold(args.right)
-    except ParseError as exc:
+        same = homeomorphic(parse_manifold(args.left), parse_manifold(args.right))
+    except (ParseError, _TooManyFlips) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("true" if homeomorphic(left, right) else "false")
+    print("true" if same else "false")
     return 0
 
 
@@ -208,191 +208,99 @@ _COMMANDS = {
                     f"{MAX_SELFCHECK_BOUND} (default 6)")],
                   _cmd_selfcheck),
 }
-_HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # what argparse reads as a negative number
 
 
-def _usage(command) -> str:
-    """The usage line of `command`, or of the command line if it is None."""
-    if command is None:
-        return "usage: nmsflow [-h] {" + ",".join(_COMMANDS) + "} ..."
-    _, operands, options, _ = _COMMANDS[command]
-    return " ".join(["usage: nmsflow", command, "[-h]"]
-                    + [f"[{_invocation(name, kind)}]" for name, kind, _, _ in options]
-                    + [name for name, _ in operands])
+def _plain(argv):
+    """The namespace of a plain command line, or None for any other.
 
-
-def _invocation(option: str, kind) -> str:
-    return option if kind is None else f"{option} {option[2:].upper()}"
-
-
-def _help(command) -> str:
-    """The help text of `command`, or of the command line if it is None,
-    laid out as argparse lays it out 80 columns wide, where each help line
-    fits beside its option."""
-    lines = [_usage(command), ""]
-    if command is None:
-        lines += [_DESCRIPTION, ""]
-        positional = [(2, "{" + ",".join(_COMMANDS) + "}", None)] + [
-            (4, name, spec[0]) for name, spec in _COMMANDS.items()]
-        options = []
-    else:
-        _, operands, options, _ = _COMMANDS[command]
-        positional = [(2, name, None) for name, _ in operands]
-    sections = [("positional arguments:", positional)] if positional else []
-    sections.append(("options:", [(2, "-h, --help", "show this help message and exit")] + [
-        (2, _invocation(name, kind), text) for name, kind, _, text in options]))
-    rows = [row for _, section in sections for row in section]
-    column = min(max(indent + len(invocation) for indent, invocation, _ in rows) + 2, 24)
-    for title, section in sections:
-        lines.append(title)
-        for indent, invocation, text in section:
-            line = " " * indent + invocation
-            lines.append(line if text is None else line.ljust(column) + text)
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _fail(command, message: str):
-    """Exit 2 with the usage of `command` (None: the command line) and `message`."""
-    prog = "nmsflow" if command is None else f"nmsflow {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _option(token: str, names, command):
-    """What `token` is to a parser whose options are `names`: None for an
-    operand, else the option's name and the text given after "=" (or after
-    -h), if any.  The name is None for an option that the parser lacks.
-
-    A token is an option when it starts with "-", is not "-" alone, and is
-    neither a negative number nor a text with a space.  A long option may be
-    given by any prefix that matches it alone."""
-    if token[:1] != "-" or token == "-":
+    A plain command line is a command, then its operands and options in
+    any order: each option spelled in full, and a --bound followed by a
+    value that does not start with "-"; an operand does not start with "-"
+    unless it is a negative integer.  It gives the command its number of
+    operands, and each value converts.  argparse reads such a line to the
+    same namespace, and _parser() reads every other one."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    name, eq, value = token.partition("=")
-    if name in names:
-        return name, value if eq else None
-    if token[1] == "-":
-        matches = [option for option in names if option.startswith(name)]
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    elif token[1] == "h":
-        return "-h", token[2:]
-    if _NEGATIVE.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _flag(command, name: str, value) -> None:
-    """Act on the flag `name`, given with `value` after "=" or -h: help for
-    -h/--help, and a usage error for a value, which a flag does not take."""
-    if name == "-h" and value:
-        value = value.lstrip("h") or None  # -hh is -h -h
-    if value is not None:
-        option = "-h/--help" if name in _HELP else name
-        _fail(command, f"argument {option}: ignored explicit argument {value!r}")
-    if name in _HELP:
-        sys.stdout.write(_help(command))
-        raise SystemExit(0)
-
-
-def _convert(command, name: str, kind, text: str):
+    _, operands, options, _ = _COMMANDS[argv[0]]
+    types = {name: kind for name, kind, _, _ in options}
+    args = SimpleNamespace(command=argv[0], **{
+        name[2:]: default for name, _, default, _ in options})
+    given = []
+    words = iter(argv[1:])
     try:
-        return kind(text)
-    except _UsageError as exc:
-        _fail(command, f"argument {name}: {exc}")
+        for word in words:
+            if word not in types:
+                if word[:1] == "-" and INTEGER.fullmatch(word) is None:
+                    return None
+                given.append(word)
+            elif types[word] is None:
+                setattr(args, word[2:], True)
+            else:
+                value = next(words, "-")
+                if value[:1] == "-":
+                    return None
+                setattr(args, word[2:], types[word](value))
+        if len(given) != len(operands):
+            return None
+        for (name, kind), word in zip(operands, given):
+            setattr(args, name, kind(word))
+    except _UsageError:
+        return None
+    return args
+
+
+def _parser():
+    """The argparse parser of _COMMANDS, one subparser per command, with
+    help laid out 80 columns wide whatever the terminal.  argparse is
+    imported here, so that a plain command line never loads it."""
+    import argparse
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    def typed(kind):
+        def convert(text):
+            try:
+                return kind(text)
+            except _UsageError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return convert
+
+    class Operand(argparse.Action):
+        # argparse drops a second "--" that makes up a whole operand and
+        # passes [] in its place, which would crash the command: that "--"
+        # is the operand.
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                try:
+                    values = self.type("--")
+                except argparse.ArgumentTypeError as exc:
+                    raise argparse.ArgumentError(self, str(exc)) from None
+            setattr(namespace, self.dest, values)
+
+    parser = argparse.ArgumentParser(prog="nmsflow", description=_DESCRIPTION,
+                                     formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, operands, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text, formatter_class=formatter)
+        for name, kind in operands:
+            p.add_argument(name, type=typed(kind), action=Operand)
+        for name, kind, default, text in options:
+            if kind is None:
+                p.add_argument(name, action="store_true", help=text)
+            else:
+                p.add_argument(name, type=typed(kind), default=default, help=text)
+    return parser
 
 
 class _CommandLine:
-    """Reads a command line by _COMMANDS.
-
-    parse_args(argv) is a namespace holding `command` and the command's
+    """parse_args(argv) is a namespace holding `command` and the command's
     operands and options, or else exits: 0 after help, 2 after a usage
-    error.  Options may come anywhere among the operands, as `--opt value`
-    or `--opt=value`, and the first "--" ends them.  That "--" is dropped
-    when it follows a token that filled an operand, or when an operand is
-    still to fill and a token follows it; otherwise it is one more
-    unrecognized argument, as are operands past the last and unknown
-    options.  A later "--" is an operand."""
+    error."""
 
     def parse_args(self, argv):
-        extras = []
-        for i, token in enumerate(argv):
-            if token == "--" and i + 1 == len(argv):
-                break
-            # Like any other operand, a "--" with tokens after it names the
-            # command, an invalid one.
-            option = None if token == "--" else _option(token, _HELP, None)
-            if option is None:
-                if token not in _COMMANDS:
-                    choices = ", ".join(map(repr, _COMMANDS))
-                    _fail(None, f"argument command: invalid choice: {token!r} "
-                                f"(choose from {choices})")
-                args = self._read(token, argv[i + 1:], extras)
-                if extras:
-                    _fail(None, "unrecognized arguments: " + " ".join(extras))
-                return args
-            if option[0] is None:
-                extras.append(token)
-            else:
-                _flag(None, *option)
-        _fail(None, "the following arguments are required: command")
-
-    def _read(self, command, tokens, extras):
-        """The namespace of `command` given `tokens`; unrecognized tokens
-        go to `extras`."""
-        _, operands, options, _ = _COMMANDS[command]
-        types = {name: kind for name, kind, _, _ in options}
-        end = tokens.index("--") if "--" in tokens else len(tokens)
-        kinds = [_option(token, [*_HELP, *types], command) for token in tokens[:end]]
-        args = SimpleNamespace(command=command, **{
-            name[2:]: default for name, _, default, _ in options})
-        left = list(operands)
-
-        def operand(token) -> bool:
-            """Fill the next operand with `token`; false if none is left."""
-            if not left:
-                extras.append(token)
-                return False
-            name, kind = left.pop(0)
-            setattr(args, name, _convert(command, name, kind, token))
-            return True
-
-        filled = False  # whether the last token filled an operand
-        i = 0
-        while i < end:
-            token, kind = tokens[i], kinds[i]
-            i += 1
-            if kind is None:
-                filled = operand(token)
-                continue
-            filled = False
-            name, value = kind
-            if name is None:
-                extras.append(token)
-            elif types.get(name) is None:
-                _flag(command, name, value)
-                setattr(args, name[2:], True)
-            else:
-                if value is None:
-                    if i == end or kinds[i] is not None:
-                        _fail(command, f"argument {name}: expected one argument")
-                    value = tokens[i]
-                    i += 1
-                setattr(args, name[2:], _convert(command, name, types[name], value))
-        if end < len(tokens):
-            rest = tokens[end + 1:]
-            if not (filled or left and rest):
-                extras.append("--")
-            for token in rest:
-                operand(token)
-        if left:
-            _fail(command, "the following arguments are required: "
-                           + ", ".join(name for name, _ in left))
-        return args
+        args = _plain(argv)
+        return _parser().parse_args(argv) if args is None else args
 
 
 def _build_parser() -> _CommandLine:

@@ -51,6 +51,10 @@ class NotALens(ValueError):
     """Raised for Seifert data that cannot fiber a lens space."""
 
 
+class _TooManyFlips(ValueError):
+    """The isomorphism key would search past its cap of 2^32 flip vectors."""
+
+
 def check_fibers(fibers: Iterable[Sequence[int]]) -> SeifertData:
     """Validate fiber data and return it as a tuple of int pairs.
 
@@ -156,19 +160,22 @@ def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
     admissible S(l) is T, the least l.
 
     It meets in the middle (Horowitz and Sahni, J. ACM 21, 1974).  The
-    classes split where the product of their (n_g + 1), n_g the size of
-    class g, first passes the square root of the whole product.  The
-    sums of the right half are listed once, keeping for each residue
+    left half is the first prefix of the classes whose product P of the
+    (n_g + 1), n_g the size of class g, passes sqrt(N), N the whole
+    product, or the prefix before it if that makes P + 3 N / P less.
+    The sums of the right half are listed once, keeping for each residue
     mod L the two largest distinct sums, each with its least vector.
     Then each sum of the left half looks up the residue that makes it
     admissible.  Two sums of one residue differ by a multiple of L, so
     at most one of them completes a left sum to T; the second is taken
-    only when the first does.  The search thus takes about
-    2 sqrt(prod_g (n_g + 1)) steps, and its memory grows like its time.
-    Twenty fibers of class (3, 1) and ten each of (5, 1) and (5, 2) have
+    only when the first does.  The search thus takes about 2 sqrt(N)
+    steps, and its memory grows like its time; a class of many fibers,
+    which lies whole in one half, can take more.  Twenty
+    fibers of class (3, 1) and ten each of (5, 1) and (5, 2) have
     21 * 11 * 11 = 2,541 vectors, which the halves cover in
     231 + 11 steps; 23 fibers in classes of their own have 2^23, in
-    2^12 + 2^11.
+    2^12 + 2^11.  Raises a ValueError, before any search, when N is past
+    2^32 (ROADMAP.md, item 13).
     """
     return _isomorphism_key(normalize(fibers))
 
@@ -218,10 +225,19 @@ def _isomorphism_key(base: SeifertData) -> SeifertData:
     for d, l in zip(steps, own):
         mine = mine * len(d) + l
         total *= len(d)
+    if total > 1 << 32:
+        raise _TooManyFlips("the isomorphism key searches at most 2^32 flip vectors, "
+                            "the product of (n + 1) over its classes of n fibers, "
+                            "and these fibers have more")
     cut, size = 0, 1
     while size * size <= total:
         size *= len(steps[cut])
         cut += 1
+    # One class back, to a product Q, if Q + 3 total / Q < size + 3 total
+    # / size, that is Q * size > 3 total.  A right sum counts as three left
+    # ones: it takes about the time of one and four times the memory.
+    if size * size > 3 * total * len(steps[cut - 1]):
+        cut -= 1
     # S of every vector of each half, in index order.
     left = list(map(sum, product(*steps[:cut])))
     right = list(map(sum, product(*steps[cut:])))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nmsflow import seifert
 from nmsflow.cli import _build_parser, main
 from nmsflow.expressions import parse_manifold
 from oracles import argparse_command_line
@@ -293,6 +294,46 @@ def test_reader_decides_as_argparse_and_every_command_line_exits_cleanly(argv):
             err.startswith("error: ") and err.count("\n") == 1), err
 
 
+# Plain command lines: a command, its number of operands and its options
+# spelled in full, in any order and possibly repeated.  Operands are
+# integers, ASCII negatives among them, or texts that do not start with
+# "-"; a --bound value is in range.
+_WORD = st.one_of(st.integers(-10**40, 10**40).map(str),
+                  st.sampled_from(["S3", "L(7,2)", "RP3 # S2xS1", "SFS(S2; (2,1),(3,1))",
+                                   "L(4,2)", "not a manifold", "classify", "x -y", ""]),
+                  st.text().filter(lambda text: not text.startswith("-")))
+_NUMBER = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**60, 10**60)).map(str)
+
+
+@st.composite
+def _plain_argv(draw):
+    command = draw(st.sampled_from(["classify", "homeo", "h1", "enumerate", "selfcheck"]))
+    count = {"classify": 4, "homeo": 2, "h1": 1}.get(command, 0)
+    items = [[word] for word in draw(st.lists(
+        _NUMBER if command == "classify" else _WORD, min_size=count, max_size=count))]
+    if command == "classify":
+        items += [["--json"]] * draw(st.integers(0, 3))
+    elif command in ("enumerate", "selfcheck"):
+        cap = 30 if command == "enumerate" else 15
+        items += [["--bound", str(value)]
+                  for value in draw(st.lists(st.integers(0, cap), max_size=3))]
+    return [command] + [word for item in draw(st.permutations(items)) for word in item]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_argv())
+@example(["classify", "--json", "-3", "0", "--json", "-1", "5"])
+@example(["h1", "-7"])
+@example(["enumerate", "--bound", "3", "--bound", "0"])
+def test_plain_command_lines_are_read_without_argparse(argv):
+    # The reader answers a plain command line itself, with argparse's
+    # namespace; argparse cannot be imported, so a fallback would raise.
+    expected = vars(argparse_command_line().parse_args(argv))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "argparse", None)
+        assert vars(_build_parser().parse_args(argv)) == expected
+
+
 def test_selfcheck_command(capsys):
     assert main(["selfcheck", "--bound", "3"]) == 0
     out = capsys.readouterr().out
@@ -520,3 +561,36 @@ def test_h1_and_homeo_answer_or_report_every_expression(argv):
         assert _GROUP.fullmatch(out), out[:300]
     else:
         assert out in ("true\n", "false\n")
+
+
+# The key searches at most 2^32 flip vectors, the product of (n + 1) over
+# its classes of n fibers: 32 classes of one fiber each are at the cap, and
+# 33 of them, or 17 classes of three fibers (4^17 = 2^34), are past it.
+_AT_CAP = [(alpha, 1) for alpha in range(3, 35)]
+_PAST_CAP = [[(alpha, 1) for alpha in range(3, 36)], [(alpha, 1) for alpha in range(3, 20)] * 3]
+
+
+def test_homeo_at_the_key_cap_answers(capsys):
+    # The rewrite reverses the fibers and shifts one beta by its alpha,
+    # with a compensating (1, -1).
+    rewrite = _AT_CAP[::-1]
+    rewrite[4] = (rewrite[4][0], rewrite[4][1] + rewrite[4][0])
+    with deadline(2.0):
+        assert main(["homeo", _sfs(_AT_CAP), _sfs(rewrite + [(1, -1)])]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+@pytest.mark.parametrize("fibers", _PAST_CAP, ids=["33x1", "17x3"])
+def test_homeo_past_the_key_cap_exits_one_before_any_search(fibers, capsys, monkeypatch):
+    def search(*halves):
+        raise AssertionError("the key started its search")
+
+    monkeypatch.setattr(seifert, "product", search)
+    with deadline(1.0):
+        assert main(["homeo", _sfs(fibers), _sfs(fibers)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "at most 2^32 flip vectors" in captured.err
+    assert main(["h1", _sfs(fibers)]) == 0
+    assert _GROUP.fullmatch(capsys.readouterr().out)

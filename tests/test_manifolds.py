@@ -290,3 +290,17 @@ def test_forty_fibers_with_another_h1_order_are_not_homeomorphic():
     assert h1(left).order() != h1(right).order()
     with deadline(1.0):
         assert not mf.homeomorphic(left, right)
+
+
+def test_homeomorphic_with_a_large_class_at_the_split_within_a_second():
+    # 12 classes of one fiber, a class of 511 fibers, then 3 of one fiber:
+    # 2^12 * 512 * 2^3 = 2^24 flip vectors.  A class lies whole in one half,
+    # so the halves are 2^12 and 2^12, or 2^21 and 2^3 with the large class
+    # on the left; the key takes the split of fewer sums.
+    fibers = ([(alpha, 1) for alpha in range(3, 15)] + [(15, 1)] * 511
+              + [(alpha, 1) for alpha in range(16, 19)])
+    rewrite = fibers[::-1]
+    rewrite[0] = (rewrite[0][0], rewrite[0][1] + rewrite[0][0])
+    left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite + [(1, -1)])
+    with deadline(1.0):
+        assert mf.homeomorphic(left, right)

@@ -7,14 +7,15 @@ seifert.euler_number, so fractions and the decimal and numbers modules it
 imports stay out of the set-up.  It never imports json, not even for
 classify --json, which writes its object from a fixed template.  random,
 with the bisect module it imports, is imported only by the seeded
-selfcheck check.  Nor does it import argparse, with the gettext and
-locale modules it loads and the shutil module that building a parser loads
-(and through it bz2, lzma and zlib): the CLI reads its command line from a
-table of the commands.  It also imports every module whose
-functions perfbench/tracing.py traces, since the tracer looks each one up
-in sys.modules and a lazily imported module would be missing there.  The
-interpreter runs under -S and builds the parser, as the benchmark's set-up
-command does.
+selfcheck check.  Nor does a plain command line import argparse, with the
+gettext and locale modules it loads and the shutil module that a parser
+with the default help layout loads (and through it bz2, lzma and zlib):
+the CLI reads it from a table of the commands, and builds an argparse
+parser only for help, usage errors and other command lines.  It also
+imports every module whose functions perfbench/tracing.py traces, since
+the tracer looks each one up in sys.modules and a lazily imported module
+would be missing there.  The interpreter runs under -S and builds the
+parser, as the benchmark's set-up command does, or runs the entry point.
 """
 
 import os
@@ -78,3 +79,25 @@ def test_entry_point_reads_sys_argv_and_exits_with_the_code_of_main():
     proc = _entry_point("--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: nmsflow"), proc.stdout
+
+
+def _imports(*argv: str) -> set[str]:
+    """The modules that `python -S -m nmsflow.cli *argv` imports, as
+    -X importtime lists them on stderr; the run must exit 0."""
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "nmsflow.cli",
+                           *argv], env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_plain_command_lines_import_no_argparse():
+    argparse_and_its_imports = {"argparse", "gettext", "locale", "shutil"}
+    for argv in (["classify", "-1", "0", "7", "2", "--json"], ["homeo", "L(7,5)", "L(7,2)"],
+                 ["h1", "L(12,5) # RP3"], ["enumerate", "--bound", "2"],
+                 ["selfcheck", "--bound", "1"]):
+        loaded = _imports(*argv)
+        assert "nmsflow.classifier" in loaded, argv
+        assert not loaded & argparse_and_its_imports, (argv, sorted(loaded))
+    # Help is not plain: argparse writes it, and the listing shows it.
+    assert "argparse" in _imports("h1", "--help")
