@@ -12,7 +12,6 @@ integers.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from . import seifert
 from .manifolds import (
@@ -44,7 +43,8 @@ class InvalidFlowInvariant(ValueError):
         self.rule = rule
 
 
-class InvariantKind(Enum):
+class InvariantKind:
+    """The kinds of a FlowInvariant, as classify --json writes them."""
     ESSENTIAL = "essential"
     INESSENTIAL = "inessential"
 
@@ -63,7 +63,7 @@ class FlowInvariant(Value):
         _set_m2(self, m2)
 
     @property
-    def kind(self) -> InvariantKind:
+    def kind(self) -> str:
         return (InvariantKind.INESSENTIAL if (self.l1, self.m1) == _MARKER
                 else InvariantKind.ESSENTIAL)
 

@@ -30,11 +30,13 @@ Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error or a homeo operand past the key's search cap (seifert), 2
 inadmissible quadruple or usage error, 3 selfcheck failure.
 
-Start-up is most of the time of one `classify`: the package imports
-neither dataclasses nor typing, nor fractions outside
-seifert.euler_number, or random outside the seeded selfcheck check, and
-importing nmsflow.cli loads every module whose functions the benchmark
-traces, selfcheck and surgery included.  It never imports json:
+Start-up is most of the time of one `classify`: the set-up, and every
+plain command line but selfcheck, loads besides the package only
+__future__, math and itertools (no dataclasses, typing, re, enum,
+collections or types); fractions, random and collections.Counter are
+imported inside the functions that use them.  Importing nmsflow.cli loads
+every module whose functions the benchmark traces, selfcheck and surgery
+included.  It never imports json:
 `classify --json` writes its object from a fixed template
 (_classify_report).  A plain command line, the kind people and scripts
 type, _plain reads from the table _COMMANDS without importing argparse,
@@ -46,14 +48,13 @@ included, goes to an argparse parser built from the same table
 from __future__ import annotations
 
 import sys
-from types import SimpleNamespace
 
 from .classifier import (
     InvalidFlowInvariant,
     classify_quadruple,
     enumerate_invariants,
 )
-from .expressions import INTEGER, ParseError, parse_manifold
+from .expressions import ParseError, is_integer, parse_manifold
 from .homology import h1
 from .manifolds import homeomorphic, is_prime
 from .seifert import _TooManyFlips
@@ -72,10 +73,10 @@ def _ascii_int(text: str, name: str) -> int:
     """The integer `text` spells, for the types below; a rejected value,
     reported as an invalid `name`, exits 2 with usage.
 
-    The rule is the expression grammar's INTEGER: an optional "-", then
-    ASCII digits (int() would also take "+2", " 1_0 " and "\u0661").
+    The rule is the expression grammar's is_integer: an optional "-",
+    then ASCII digits (int() would also take "+2", " 1_0 " and "\u0661").
     """
-    if INTEGER.fullmatch(text) is None:
+    if not is_integer(text):
         raise _UsageError(f"invalid {name} {text!r}: not an integer")
     try:
         return int(text)
@@ -130,7 +131,7 @@ def _classify_report(args, res, group, prime) -> str:
                 f'"h1": {{"free_rank": {group.free_rank}, "torsion": [{torsion}]}}, '
                 f'"input": [{args.l1}, {args.m1}, {args.l2}, {args.m2}], '
                 f'"intermediate_seifert": {inter}, '
-                f'"kind": "{res.invariant.kind.value}", '
+                f'"kind": "{res.invariant.kind}", '
                 f'"prime": {"true" if prime else "false"}}}')
     lines = [f"case {res.case}: {res.manifold}", f"h1: {group}",
              f"prime: {'true' if prime else 'false'}"]
@@ -210,6 +211,13 @@ _COMMANDS = {
 }
 
 
+class _Namespace:
+    """The attributes of a command line, as argparse.Namespace holds them."""
+
+    def __init__(self, **attributes):
+        self.__dict__.update(attributes)
+
+
 def _plain(argv):
     """The namespace of a plain command line, or None for any other.
 
@@ -223,14 +231,14 @@ def _plain(argv):
         return None
     _, operands, options, _ = _COMMANDS[argv[0]]
     types = {name: kind for name, kind, _, _ in options}
-    args = SimpleNamespace(command=argv[0], **{
+    args = _Namespace(command=argv[0], **{
         name[2:]: default for name, _, default, _ in options})
     given = []
     words = iter(argv[1:])
     try:
         for word in words:
             if word not in types:
-                if word[:1] == "-" and INTEGER.fullmatch(word) is None:
+                if word[:1] == "-" and not is_integer(word):
                     return None
                 given.append(word)
             elif types[word] is None:

@@ -11,7 +11,7 @@ Grammar (whitespace between tokens is ignored):
     digit   := "0" | "1" | ... | "9"          (ASCII only)
 
 Whitespace is what str.isspace accepts, the Unicode spaces and separators
-included, and `int` is the pattern INTEGER, which the command line also
+included, and `int` is the rule is_integer, which the command line also
 uses for its integer operands.
 
 Parsing canonicalizes: lens parameters are normalized (collapsing to atoms
@@ -19,18 +19,17 @@ where applicable), fiber data is normalized, sums are flattened, sorted and
 stripped of S3 summands.  Rendering inverts parsing on canonical values, so
 parse_manifold(render_manifold(m)) == m for everything this library emits.
 
-How errors are located.  parse_manifold reads a summand and the "#" or end
-of text after it with one match of a compiled pattern.  When the pattern
-rejects a summand, or its parameters are invalid, a token scanner replays
-the grammar from that summand's start and raises the ParseError: its
-position is the offset of the token that breaks the grammar, or of the
-summand whose parameters are invalid.  The scanner runs only on text that
-ends in a ParseError.
+How errors are located.  parse_manifold pads each of "( ) , ; #" with
+spaces, splits the text with str.split, which splits on exactly the
+characters str.isspace accepts, and reads the tokens in one loop; it
+compiles no pattern.  On text that loop rejects, a token scanner replays
+the grammar and raises the ParseError: its position is the offset of the
+token that breaks the grammar, or of the summand whose parameters are
+invalid or whose integer is past Python's digit limit.  The scanner runs
+only on text that ends in a ParseError.
 """
 
 from __future__ import annotations
-
-import re
 
 from .manifolds import (
     InvalidLensParameters,
@@ -56,32 +55,24 @@ class ParseError(ValueError):
         self.position = position
 
 
-# An integer: an optional "-" and ASCII digits.  [0-9], not \d and not
-# str.isdigit, which also accept "²" and "٧".
-INTEGER = re.compile(r"-?[0-9]+")
+def is_integer(text: str) -> bool:
+    """Whether `text` is an integer of the grammar: an optional "-" and
+    ASCII digits.  Not str.isdigit alone, which also accepts "\u00b2" and
+    "\u0667", and not int(), which also takes "+2", " 1_0 " and "\u0661"."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
-_INT = INTEGER.pattern
-_PAIR = rf"\(\s*{_INT}\s*,\s*{_INT}\s*\)"
-# The (alpha, beta) strings of the pairs of an accepted SFS summand.
-_PAIRS = re.compile(rf"\(\s*({_INT})\s*,\s*({_INT})\s*\)")
-# One summand and the "#" or end of text after it; its groups, in order,
-# are atom, p, q, pairs and sep.  \s is str.isspace, and \Z, unlike $, does
-# not match before a final newline.
-_SUMMAND = re.compile(rf"""\s*(?:
-    (?P<atom>S2xS1|S3|RP3)
-  | L\s*\(\s*(?P<p>{_INT})\s*,\s*(?P<q>{_INT})\s*\)
-  | SFS\s*\(\s*S2\s*;\s*(?P<pairs>{_PAIR}(?:\s*,\s*{_PAIR})*)\s*\)
-)\s*(?:(?P<sep>\#)|\Z)""", re.VERBOSE)
+
 _ATOMS = {"S2xS1": S2xS1, "S3": Sphere, "RP3": RP3}
 
 
 class _Scanner:
-    """The grammar, one token at a time; parse_manifold runs it from a
-    rejected summand to locate the error."""
+    """The grammar, one token at a time; parse_manifold runs it on text
+    that it rejects to locate the error."""
 
-    def __init__(self, text: str, pos: int = 0):
+    def __init__(self, text: str):
         self.text = text
-        self.pos = pos
+        self.pos = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -104,16 +95,22 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        m = INTEGER.match(self.text, start)
-        if m is None:
+        text = self.text
+        start = end = self.pos
+        # The longest run that may be an integer; is_integer decides.
+        if text.startswith("-", end):
+            end += 1
+        while end < len(text) and "0" <= text[end] <= "9":
+            end += 1
+        token = text[start:end]
+        if not is_integer(token):
             raise ParseError("expected an integer", start)
-        self.pos = m.end()
+        self.pos = end
         try:
-            return int(m[0])
+            return int(token)
         except ValueError as exc:  # past sys.get_int_max_str_digits()
             raise ParseError(
-                f"integer of {len(m[0].removeprefix('-'))} digits is too long",
+                f"integer of {len(token.removeprefix('-'))} digits is too long",
                 start) from exc
 
     def pair(self) -> tuple[int, int]:
@@ -154,6 +151,52 @@ class _Scanner:
         raise ParseError("expected a manifold summand", start)
 
 
+def _checked_int(token: str) -> int:
+    if not is_integer(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+def _summands(text: str) -> list[Manifold]:
+    """The summands of `text`; ValueError or IndexError on text outside
+    the grammar, invalid parameters or an integer past the digit limit."""
+    # On ASCII text without "+" or "_", int() takes exactly the tokens
+    # that is_integer accepts, so no token needs the check.
+    number = (int if text.isascii() and "+" not in text and "_" not in text
+              else _checked_int)
+    tokens = (text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ")
+              .replace(";", " ; ").replace("#", " # ").split())
+    summands = []
+    append = summands.append
+    i = 0
+    while True:
+        head = tokens[i]
+        if head in _ATOMS:
+            append(_ATOMS[head]())
+            i += 1
+        elif head == "L" and tokens[i + 1:i + 6:2] == ["(", ",", ")"]:
+            append(lens_canonical(number(tokens[i + 2]), number(tokens[i + 4])))
+            i += 6
+        elif head == "SFS" and tokens[i + 1:i + 4] == ["(", "S2", ";"]:
+            pairs = []
+            i += 4
+            while tokens[i:i + 5:2] == ["(", ",", ")"]:
+                pairs.append((number(tokens[i + 1]), number(tokens[i + 3])))
+                i += 6  # past the pair and the "," or ")" after it
+                if tokens[i - 1] != ",":
+                    break
+            if tokens[i - 1] != ")":
+                raise ValueError("expected ')'")
+            append(seifert_over_s2(pairs))
+        else:
+            raise ValueError("expected a manifold summand")
+        if i == len(tokens):
+            return summands
+        if tokens[i] != "#":
+            raise ValueError("expected '#'")
+        i += 1
+
+
 def parse_manifold(text: str) -> Manifold:
     """Parse an expression into its canonical manifold value.
 
@@ -162,34 +205,20 @@ def parse_manifold(text: str) -> Manifold:
     """
     if not isinstance(text, str):
         raise TypeError(f"not an expression string: {text!r}")
-    summands = []
-    append = summands.append
-    pos = 0
-    while (m := _SUMMAND.match(text, pos)) is not None:
-        atom, p, q, pairs, sep = m.groups()
-        try:
-            if atom is not None:
-                append(_ATOMS[atom]())
-            elif p is not None:
-                append(lens_canonical(int(p), int(q)))
-            else:
-                # A list, not an iterator: seifert_over_s2 makes a tuple of
-                # it, and tuple() of an iterator resizes as it goes, which
-                # raised peak RSS.
-                append(seifert_over_s2(
-                    [(int(a), int(b)) for a, b in _PAIRS.findall(pairs)]))
-        except ValueError:  # invalid parameters, or past the int digit limit
-            break
-        if sep is None:
-            return sum_normalize(summands)
-        pos = m.end()
-    # The pattern rejected the summand at pos, or its parameters are
-    # invalid: the scanner, run from there, raises the ParseError.
-    s = _Scanner(text, pos)
+    try:
+        summands = _summands(text)
+    except (ValueError, IndexError):
+        pass
+    else:
+        return sum_normalize(summands)
+    # The token loop rejects the text: the scanner, run from its start,
+    # raises the ParseError.
+    s = _Scanner(text)
     s.summand()
-    if not s.at_end():
+    while not s.at_end():
         s.expect("#")
-    raise AssertionError(f"the scanner accepts the summand at {pos} of {text!r}")
+        s.summand()
+    raise AssertionError(f"the scanner accepts {text!r}")
 
 
 def render_manifold(m: Manifold) -> str:

@@ -11,7 +11,6 @@ Python's arbitrary-precision ints; no floating point is involved anywhere.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 
 from . import seifert
 from .manifolds import (
@@ -35,7 +34,8 @@ class AbelianGroup(Value):
     """
     __slots__ = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: Iterable[int] = ()) -> None:
+    def __init__(self, free_rank: int,
+                 torsion: list[int] | tuple[int, ...] = ()) -> None:
         if free_rank < 0:
             raise ValueError("free rank must be >= 0")
         torsion = tuple(torsion)
@@ -81,7 +81,7 @@ class AbelianGroup(Value):
 _set_free_rank, _set_torsion = _slot_setters(AbelianGroup)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def smith_normal_form(matrix: list[list[int]]) -> tuple[int, ...]:
     """Diagonal (d1, ..., dk) of the Smith normal form, k = min(rows, cols).
 
     Entries are nonnegative and satisfy d1 | d2 | ... | dk (trailing zeros
@@ -158,7 +158,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def cokernel(matrix: Sequence[Sequence[int]]) -> AbelianGroup:
+def cokernel(matrix: list[list[int]]) -> AbelianGroup:
     """Z^n modulo the row span of an m x n relation matrix, m >= 1."""
     if not matrix:
         raise ValueError("cannot infer generator count from no rows")
@@ -167,7 +167,7 @@ def cokernel(matrix: Sequence[Sequence[int]]) -> AbelianGroup:
                         tuple(d for d in nonzero if d >= 2))
 
 
-def h1_seifert_presentation(fibers: Iterable[Sequence[int]]) -> AbelianGroup:
+def h1_seifert_presentation(fibers: seifert.Fibers) -> AbelianGroup:
     """H1 of a Seifert fibration over the sphere from its relation matrix.
 
     For fibers (alpha_i, beta_i), i = 1..r, the presentation has generators

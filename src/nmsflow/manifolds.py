@@ -28,7 +28,6 @@ the classes share.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 
 from . import seifert
 
@@ -181,7 +180,7 @@ class SeifertOverS2(Manifold):
     """Seifert fibration over the sphere, stored as seifert.normalize(fibers)."""
     __slots__ = ("fibers",)
 
-    def __init__(self, fibers: Iterable[Sequence[int]]) -> None:
+    def __init__(self, fibers: seifert.Fibers) -> None:
         fibers = seifert.normalize(fibers)
         if not fibers:
             raise seifert.InvalidFiber(
@@ -217,7 +216,8 @@ class ConnectedSum(Manifold):
     """Connected sum of >= 2 summands, none S3 or a sum, stored sorted."""
     __slots__ = ("summands",)
 
-    def __init__(self, summands: Iterable[Manifold]) -> None:
+    def __init__(self,
+                 summands: list[Manifold] | tuple[Manifold, ...]) -> None:
         summands = tuple(summands)
         if len(summands) < 2:
             raise ValueError("a connected sum needs at least 2 summands")
@@ -274,7 +274,7 @@ def lens_canonical(p: int, q: int) -> Manifold:
     return (S2xS1, Sphere, RP3)[abs(p)]()
 
 
-def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
+def seifert_over_s2(fibers: seifert.Fibers) -> Manifold:
     """Canonical manifold of Seifert data over the sphere.
 
     The fibers are normalized; data whose normal form is empty collapses to
@@ -285,7 +285,8 @@ def seifert_over_s2(fibers: Iterable[Sequence[int]]) -> Manifold:
     return _seifert(fibers) if fibers else S2xS1()
 
 
-def sum_normalize(summands: Iterable[Manifold]) -> Manifold:
+def sum_normalize(
+        summands: list[Manifold] | tuple[Manifold, ...]) -> Manifold:
     """Canonical connected sum of the given summands.
 
     Nested sums are flattened and Sphere summands are dropped, and the

@@ -37,10 +37,12 @@ homeomorphism_key) lives in manifolds.py.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 from itertools import product
 
 SeifertData = tuple[tuple[int, int], ...]
+# Fiber data as the functions below take it: (alpha, beta) pairs in a list
+# or a tuple.  Builtin types only, so that the annotations import nothing.
+Fibers = list[tuple[int, int]] | tuple[tuple[int, int], ...]
 
 
 class InvalidFiber(ValueError):
@@ -55,7 +57,7 @@ class _TooManyFlips(ValueError):
     """The isomorphism key would search past its cap of 2^32 flip vectors."""
 
 
-def check_fibers(fibers: Iterable[Sequence[int]]) -> SeifertData:
+def check_fibers(fibers: Fibers) -> SeifertData:
     """Validate fiber data and return it as a tuple of int pairs.
 
     Rules: every alpha >= 1, and every exceptional fiber (alpha >= 2) has
@@ -77,7 +79,7 @@ def check_fibers(fibers: Iterable[Sequence[int]]) -> SeifertData:
     return tuple(out)
 
 
-def normalize(fibers: Iterable[Sequence[int]]) -> SeifertData:
+def normalize(fibers: Fibers) -> SeifertData:
     """Return the normal form of Seifert data.
 
     Each exceptional beta is reduced into (0, alpha), the excess and all
@@ -100,9 +102,10 @@ def normalize(fibers: Iterable[Sequence[int]]) -> SeifertData:
     return tuple(reduced)
 
 
-def euler_number(fibers: Iterable[Sequence[int]]) -> Fraction:
-    """Exact Euler number sum(beta_i / alpha_i) of the fibration, summed
-    in integers over the lcm of the alphas and reduced once."""
+def euler_number(fibers: Fibers):
+    """Exact Euler number sum(beta_i / alpha_i) of the fibration, a
+    fractions.Fraction, summed in integers over the lcm of the alphas and
+    reduced once."""
     from fractions import Fraction  # here, so that the CLI start-up skips it
 
     data = check_fibers(fibers)
@@ -110,7 +113,7 @@ def euler_number(fibers: Iterable[Sequence[int]]) -> Fraction:
     return Fraction(sum(beta * (den // alpha) for alpha, beta in data), den)
 
 
-def not_lens_obstruction(fibers: Iterable[Sequence[int]]) -> bool:
+def not_lens_obstruction(fibers: Fibers) -> bool:
     """True when the data has >= 3 exceptional fibers.
 
     Such a fibration is never a lens space.  This is the one statement of
@@ -127,7 +130,7 @@ def _not_lens(data: SeifertData) -> bool:
     return sum(1 for alpha, _ in data if alpha >= 2) >= 3
 
 
-def isomorphism_key(fibers: Iterable[Sequence[int]]) -> SeifertData:
+def isomorphism_key(fibers: Fibers) -> SeifertData:
     """The lexicographically least normal form over a family of flips.
 
     The family: a sign flip beta -> alpha - beta on a subset S of
@@ -291,7 +294,7 @@ def nu_of(alpha: int, beta: int) -> int:
     return pow(beta, -1, alpha)
 
 
-def lens_parameters(fibers: Iterable[Sequence[int]]) -> tuple[int, int]:
+def lens_parameters(fibers: Fibers) -> tuple[int, int]:
     """Raw lens parameters (p, q) of data with at most 2 exceptional fibers.
 
     The integer term (1, b) is first folded into the first exceptional fiber

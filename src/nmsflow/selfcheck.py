@@ -27,7 +27,6 @@ classes of enumerate_invariants.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from . import classifier, seifert
 from .classifier import FlowInvariant, case_predicates, classify, enumerate_invariants
@@ -87,6 +86,8 @@ def tally(bound: int) -> tuple[dict, dict]:
     tests hold the tallies equal to tests/oracles.py's tally_by_classify,
     which classifies every quadruple, at bounds 0 to 10.
     """
+    from collections import Counter  # here, so that the CLI start-up skips it
+
     sides = classifier._sides(bound)
     per_l1, per_l2 = (Counter(l for l, _ in side) for side in sides)
     cases = {(l1, l2, classifier._case_of(l1, l2)): n1 * n2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nmsflow import expressions
 from nmsflow.cli import _UsageError, _ascii_int
-from nmsflow.expressions import INTEGER, ParseError, parse_manifold, render_manifold
+from nmsflow.expressions import ParseError, is_integer, parse_manifold, render_manifold
 from nmsflow.manifolds import (
     Lens,
     Manifold,
@@ -18,6 +18,7 @@ from nmsflow.manifolds import (
     seifert_over_s2,
     sum_normalize,
 )
+from oracles import parse_by_pattern
 from timelimit import deadline
 
 
@@ -104,10 +105,10 @@ def test_parse_rejects_non_strings_with_type_error():
 def test_integer_rule_is_an_optional_minus_and_ascii_digits():
     # The one statement of the rule, read by the grammar and the CLI alike.
     for text in ("0", "-0", "007", "-12"):
-        assert INTEGER.fullmatch(text)
+        assert is_integer(text)
         assert _ascii_int(text, "operand") == int(text)
     for text in ("", "-", "--5", "+2", "1_0", " 3", "3\n", "\u0663", "\u00b2"):
-        assert INTEGER.fullmatch(text) is None
+        assert not is_integer(text)
         with pytest.raises(_UsageError, match="not an integer"):
             _ascii_int(text, "operand")
 
@@ -220,10 +221,11 @@ _TOKEN = re.compile(r"S2xS1|SFS|S2|RP3|L|-?[0-9]+|\S")
 
 
 @st.composite
-def _respaced(draw):
-    """A rendered canonical sum with Unicode whitespace between its tokens."""
+def _respaced(draw, spaces=" \x1c\n"):
+    """A rendered canonical sum with whitespace from `spaces` between its
+    tokens."""
     tokens = _TOKEN.findall(render_manifold(draw(_SUM)))
-    gaps = draw(st.lists(st.text(alphabet=" \x1c\n", max_size=2),
+    gaps = draw(st.lists(st.text(alphabet=spaces, max_size=2),
                          min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     return gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
 
@@ -258,6 +260,65 @@ def test_parse_agrees_with_the_scanner_alone(monkeypatch):
     monkeypatch.setattr(expressions, "_Scanner", _CountingScanner)
     with deadline(60.0):
         _agrees_with_the_scanner()
+
+
+# Characters that str.isspace accepts, from the ideographic space to the
+# information separator \x1c.
+_UNICODE_SPACES = "\u3000\u00a0\x85\u2028\x1c\t "
+_ORACLE_TEXT = st.one_of(
+    _DIFFERENTIAL_TEXT, _respaced(_UNICODE_SPACES),
+    st.lists(st.sampled_from(_TOKENS + ["+", "_", "\u0663", "\u200b", *_UNICODE_SPACES]),
+             max_size=24).map("".join))
+
+
+@settings(max_examples=400)
+@given(_ORACLE_TEXT)
+def _agrees_with_the_pattern(text):
+    expected = parse_by_pattern(text)
+    got = _outcome(parse_manifold, text)
+    if expected is None:
+        assert got[0] == "error"
+        assert got == _outcome(_scanner_parse, text)
+    else:
+        assert got == ("value", expected)
+
+
+def test_parse_agrees_with_the_pattern_oracle():
+    # Accepts what one regular expression per summand accepts, with the
+    # same value, and raises the scanner's error on the rest.
+    with deadline(60.0):
+        _agrees_with_the_pattern()
+
+
+_DIGITS_5000 = "7" * 5000
+# Text, and its value or the message and position of its ParseError.
+_EDGES = [
+    ("S 3", ("expected a manifold summand", 0)),
+    ("L(+5,2)", ("expected an integer", 2)),
+    ("L(1_0,3)", ("expected ','", 3)),
+    ("L(\u0663,1)", ("expected an integer", 2)),
+    ("L(5,2)\u3000#\x1cS3", Lens(5, 2)),
+    ("S3\u00a0#\x85RP3\u2028", RP3()),
+    ("L(5,2)\u200b", ("expected '#'", 6)),
+    ("SFS(S2;(2,1),)", ("expected '('", 13)),
+    ("L(5,2)#", ("expected a manifold summand", 7)),
+    ("", ("expected a manifold summand", 0)),
+    ("-L(7,2)", ("expected a manifold summand", 0)),
+    (f"L({_DIGITS_5000},1)", ("integer of 5000 digits is too long", 2)),
+    (f"L(1,-{_DIGITS_5000})", ("integer of 5000 digits is too long", 4)),
+]
+
+
+def test_parse_edge_cases():
+    for text, want in _EDGES:
+        got = _outcome(parse_manifold, text)
+        if isinstance(want, Manifold):
+            assert got == ("value", want) == ("value", parse_by_pattern(text)), text
+        else:
+            message, position = want
+            assert got == ("error", f"{message} (at position {position})", position), text
+            assert parse_by_pattern(text) is None
+        assert got == _outcome(_scanner_parse, text), text
 
 
 def test_parse_time_is_linear_on_inputs_that_could_make_a_pattern_backtrack():

@@ -1,8 +1,14 @@
 """What importing the CLI loads, in a fresh interpreter.
 
-Start-up is most of the time of one `nmsflow classify`.  The package keeps
-dataclasses and typing out of its imports, and with them inspect and ast,
-which dataclasses imports.  It imports fractions only inside
+Start-up is most of the time of one `nmsflow classify`.  The set-up, and
+every plain command line but selfcheck, adds to a bare `python -S`
+interpreter only the package, __future__, math and itertools.  So the
+package keeps dataclasses and typing out of its imports, and with them
+inspect and ast, which dataclasses imports.  It compiles no regular
+expression, so re stays out, with the enum, functools, collections and
+types modules that re loads; its annotations name builtin types only,
+not collections.abc, and selfcheck imports collections.Counter inside
+the tally.  It imports fractions only inside
 seifert.euler_number, so fractions and the decimal and numbers modules it
 imports stay out of the set-up.  It never imports json, not even for
 classify --json, which writes its object from a fixed template.  random,
@@ -28,7 +34,11 @@ from test_traced_names import _traced
 SRC = Path(__file__).resolve().parent.parent / "src"
 UNWANTED = {"dataclasses", "typing", "inspect", "ast",
             "fractions", "decimal", "numbers", "json", "random", "bisect",
-            "argparse", "gettext", "locale", "shutil"}
+            "argparse", "gettext", "locale", "shutil",
+            "re", "enum", "collections", "functools", "types"}
+# All that the set-up and a plain command line but selfcheck may add to a
+# bare interpreter, besides the package itself.
+ALLOWED = {"__future__", "math", "itertools"}
 
 
 def _env() -> dict[str, str]:
@@ -38,11 +48,11 @@ def _env() -> dict[str, str]:
     return env
 
 
-def _modules_after(statement: str) -> set[str]:
+def _modules_after(statement: str, imports: str = "nmsflow.cli as c, ") -> set[str]:
     """The modules loaded once `statement` has run in a fresh interpreter,
-    with nmsflow.cli imported as c.  They are listed on stderr, since the
-    statement may print to stdout."""
-    code = (f"import sys, nmsflow.cli as c; {statement}; "
+    with `imports` imported, nmsflow.cli as c by default.  They are listed
+    on stderr, since the statement may print to stdout."""
+    code = (f"import {imports}sys; {statement}; "
             "print('\\n'.join(sys.modules), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=_env(), check=True,
                           capture_output=True, text=True, timeout=60)
@@ -55,6 +65,20 @@ def test_cli_setup_imports_no_dataclasses_or_typing_and_every_traced_module():
     assert not loaded & UNWANTED, sorted(loaded & UNWANTED)
     traced = {f"nmsflow.{module}" for module, _ in _traced()}
     assert traced <= loaded, sorted(traced - loaded)
+
+
+def test_setup_and_plain_command_lines_add_only_the_package_math_and_itertools():
+    bare = _modules_after("pass", imports="")
+    for statement in (
+            "c._build_parser()",
+            'c.main(["classify", "-1", "0", "7", "2", "--json"])',
+            'c.main(["h1", "L(12,5) # RP3"])',
+            'c.main(["homeo", "L(7,5)", "L(7,2)"])',
+            'c.main(["homeo", "SFS(S2; (2,1),(3,1),(5,-2))", "SFS(S2; (2,1),(3,2),(5,2))"])',
+            'c.main(["enumerate", "--bound", "2"])'):
+        added = {name for name in _modules_after(statement) - bare
+                 if name != "nmsflow" and not name.startswith("nmsflow.")}
+        assert added <= ALLOWED, (statement, sorted(added - ALLOWED))
 
 
 def test_classify_json_imports_no_json():
