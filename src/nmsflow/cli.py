@@ -30,13 +30,12 @@ Exit codes: 0 success (homeo prints true or false), 1 expression parse
 error or a homeo operand past the key's search cap (seifert), 2
 inadmissible quadruple or usage error, 3 selfcheck failure.
 
-Start-up is most of the time of one `classify`: the set-up, and every
-plain command line but selfcheck, loads besides the package only
-__future__, math and itertools (no dataclasses, typing, re, enum,
-collections or types); fractions, random and collections.Counter are
-imported inside the functions that use them.  Importing nmsflow.cli loads
-every module whose functions the benchmark traces, selfcheck and surgery
-included.  It never imports json:
+Start-up is most of the time of one `classify`.  The package imports no
+dataclasses, typing, re or enum.  To the benchmark's set-up, `python -S
+-c` with this import and _build_parser, it adds only __future__, math
+and itertools; entry points that load more first gain less (README).
+Importing nmsflow.cli loads every module whose functions the benchmark
+traces, selfcheck and surgery included.  It never imports json:
 `classify --json` writes its object from a fixed template
 (_classify_report).  A plain command line, the kind people and scripts
 type, _plain reads from the table _COMMANDS without importing argparse,
@@ -212,7 +211,8 @@ _COMMANDS = {
 
 
 class _Namespace:
-    """The attributes of a command line, as argparse.Namespace holds them."""
+    """The attributes of a command line, as argparse.Namespace holds them
+    (types.SimpleNamespace would import types in the set-up)."""
 
     def __init__(self, **attributes):
         self.__dict__.update(attributes)

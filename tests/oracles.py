@@ -12,10 +12,8 @@ instead of the closed formula, enumeration by keying every classified
 result instead of each distinct value once, selfcheck's tallies by
 classifying every quadruple instead of evaluating a case formula once
 per side-bucket pair, the order of a lattice quotient by counting
-residues over a box instead of growing a subgroup, the command line
-by argparse, one subparser per command, instead of the CLI's own reader,
-and manifold expressions by one regular expression match per summand
-instead of the parser's token list.
+residues over a box instead of growing a subgroup, and the command line
+by argparse, one subparser per command, instead of the CLI's own reader.
 valid_invariants, the admissible quadruples in lexicographic order that
 these per-quadruple oracles walk, tests the side rule by gcd over the
 whole box and builds each invariant through validate_invariant.
@@ -31,22 +29,12 @@ import argparse
 import itertools
 import math
 import random
-import re
 from fractions import Fraction
 
 from nmsflow import cli
 from nmsflow.classifier import classify, validate_invariant
 from nmsflow.homology import cokernel, smith_normal_form
-from nmsflow.manifolds import (
-    RP3,
-    S2xS1,
-    Sphere,
-    homeomorphism_key,
-    lens_canonical,
-    seifert_over_s2,
-    sort_key,
-    sum_normalize,
-)
+from nmsflow.manifolds import homeomorphism_key, sort_key
 from nmsflow.seifert import normalize
 
 
@@ -352,43 +340,3 @@ def argparse_command_line() -> argparse.ArgumentParser:
             else:
                 p.add_argument(name, type=_argparse_type(kind), default=default, help=text)
     return parser
-
-
-_INT = r"-?[0-9]+"
-_PAIR = rf"\(\s*{_INT}\s*,\s*{_INT}\s*\)"
-# The (alpha, beta) strings of the pairs of an accepted SFS summand.
-_PAIRS = re.compile(rf"\(\s*({_INT})\s*,\s*({_INT})\s*\)")
-# One summand and the "#" or end of text after it; its groups, in order,
-# are atom, p, q, pairs and sep.  \s is str.isspace, and \Z, unlike $, does
-# not match before a final newline.
-_SUMMAND = re.compile(rf"""\s*(?:
-    (?P<atom>S2xS1|S3|RP3)
-  | L\s*\(\s*(?P<p>{_INT})\s*,\s*(?P<q>{_INT})\s*\)
-  | SFS\s*\(\s*S2\s*;\s*(?P<pairs>{_PAIR}(?:\s*,\s*{_PAIR})*)\s*\)
-)\s*(?:(?P<sep>\#)|\Z)""", re.VERBOSE)
-_ATOMS = {"S2xS1": S2xS1, "S3": Sphere, "RP3": RP3}
-
-
-def parse_by_pattern(text: str):
-    """The canonical value of an expression, read by one match of a
-    compiled pattern per summand and the "#" or end of text after it; None
-    if the grammar rejects the text, a summand's parameters are invalid or
-    an integer is past Python's digit limit."""
-    summands = []
-    pos = 0
-    while (m := _SUMMAND.match(text, pos)) is not None:
-        atom, p, q, pairs, sep = m.groups()
-        try:
-            if atom is not None:
-                summands.append(_ATOMS[atom]())
-            elif p is not None:
-                summands.append(lens_canonical(int(p), int(q)))
-            else:
-                summands.append(seifert_over_s2(
-                    [(int(a), int(b)) for a, b in _PAIRS.findall(pairs)]))
-        except ValueError:
-            return None
-        if sep is None:
-            return sum_normalize(summands)
-        pos = m.end()
-    return None

@@ -18,7 +18,6 @@ from nmsflow.manifolds import (
     seifert_over_s2,
     sum_normalize,
 )
-from oracles import parse_by_pattern
 from timelimit import deadline
 
 
@@ -231,9 +230,14 @@ def _respaced(draw, spaces=" \x1c\n"):
 
 
 _SPACED = _respaced()
+# Characters that str.isspace accepts, from the ideographic space to the
+# information separator \x1c.
+_UNICODE_SPACES = "\u3000\u00a0\x85\u2028\x1c\t "
 _DIFFERENTIAL_TEXT = st.one_of(
-    _TEXT, _SPACED,
-    st.tuples(_SPACED, st.integers(0, 80), st.text(max_size=3)).map(_spliced))
+    _TEXT, _SPACED, _respaced(_UNICODE_SPACES),
+    st.tuples(_SPACED, st.integers(0, 80), st.text(max_size=3)).map(_spliced),
+    st.lists(st.sampled_from(_TOKENS + ["+", "_", "\u0663", "\u200b", *_UNICODE_SPACES]),
+             max_size=24).map("".join))
 
 
 class _CountingScanner(_SCANNER):
@@ -262,34 +266,6 @@ def test_parse_agrees_with_the_scanner_alone(monkeypatch):
         _agrees_with_the_scanner()
 
 
-# Characters that str.isspace accepts, from the ideographic space to the
-# information separator \x1c.
-_UNICODE_SPACES = "\u3000\u00a0\x85\u2028\x1c\t "
-_ORACLE_TEXT = st.one_of(
-    _DIFFERENTIAL_TEXT, _respaced(_UNICODE_SPACES),
-    st.lists(st.sampled_from(_TOKENS + ["+", "_", "\u0663", "\u200b", *_UNICODE_SPACES]),
-             max_size=24).map("".join))
-
-
-@settings(max_examples=400)
-@given(_ORACLE_TEXT)
-def _agrees_with_the_pattern(text):
-    expected = parse_by_pattern(text)
-    got = _outcome(parse_manifold, text)
-    if expected is None:
-        assert got[0] == "error"
-        assert got == _outcome(_scanner_parse, text)
-    else:
-        assert got == ("value", expected)
-
-
-def test_parse_agrees_with_the_pattern_oracle():
-    # Accepts what one regular expression per summand accepts, with the
-    # same value, and raises the scanner's error on the rest.
-    with deadline(60.0):
-        _agrees_with_the_pattern()
-
-
 _DIGITS_5000 = "7" * 5000
 # Text, and its value or the message and position of its ParseError.
 _EDGES = [
@@ -313,11 +289,10 @@ def test_parse_edge_cases():
     for text, want in _EDGES:
         got = _outcome(parse_manifold, text)
         if isinstance(want, Manifold):
-            assert got == ("value", want) == ("value", parse_by_pattern(text)), text
+            assert got == ("value", want), text
         else:
             message, position = want
             assert got == ("error", f"{message} (at position {position})", position), text
-            assert parse_by_pattern(text) is None
         assert got == _outcome(_scanner_parse, text), text
 
 

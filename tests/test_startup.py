@@ -5,10 +5,12 @@ every plain command line but selfcheck, adds to a bare `python -S`
 interpreter only the package, __future__, math and itertools.  So the
 package keeps dataclasses and typing out of its imports, and with them
 inspect and ast, which dataclasses imports.  It compiles no regular
-expression, so re stays out, with the enum, functools, collections and
-types modules that re loads; its annotations name builtin types only,
-not collections.abc, and selfcheck imports collections.Counter inside
-the tally.  It imports fractions only inside
+expression, so re stays out, with the enum and functools modules that re
+loads.  Its annotations name builtin types only, not collections.abc,
+selfcheck imports collections.Counter inside the tally and the CLI builds
+its own namespace, so collections and types stay out too; an entry point
+that loads them first (runpy under -m, or a console script that imports
+re) gains nothing from those three.  It imports fractions only inside
 seifert.euler_number, so fractions and the decimal and numbers modules it
 imports stay out of the set-up.  It never imports json, not even for
 classify --json, which writes its object from a fixed template.  random,
