@@ -32,10 +32,8 @@ from .manifolds import (
 class InvalidFlowInvariant(ValueError):
     """A quadruple violates the admissibility rules.
 
-    The attribute `rule` names the violated rule: "non-coprime-pair" or
-    "malformed-inessential-marker" from validate_invariant, or
-    "undefined-intermediate" from intermediate_seifert, which needs
-    l1 * l2 != 0.
+    The attribute `rule` names the violated rule of validate_invariant:
+    "non-coprime-pair" or "malformed-inessential-marker".
     """
 
     def __init__(self, message: str, rule: str):
@@ -132,14 +130,12 @@ def _case_of(l1: int, l2: int) -> int:
 class ClassificationResult(Value):
     """Outcome of the case analysis for one invariant.
 
-    `intermediate_seifert` is the unreduced three-fiber data that fibers
-    `manifold`, present in case 7 only and None in every other case.  In
-    cases 4 to 6 the triple (2,1), (|l1|, beta1), (|l2|, beta2) is formal,
-    in general not a fibration of `manifold`: (1, 0, 5, 2) gives S3, and
-    its triple (2,1), (1,0), (5,3) has H1 Z/11.  intermediate_seifert()
-    still builds it for l1 * l2 != 0.  The input invariant is retained, so
-    sign provenance survives the |l| multiplicities in the output, and the
-    raw parameters of the lens summand in cases 1 to 3 are read off it.
+    `intermediate_seifert` is the unreduced fiber data (2,1), (|l1|, beta1),
+    (|l2|, beta2), beta_i = m_i^-1 (mod |l_i|) in (0, |l_i|), that fibers
+    `manifold` in case 7; it is None in every other case.  The input
+    invariant is retained, so sign provenance survives the |l|
+    multiplicities in the output, and the raw parameters of the lens
+    summand in cases 1 to 3 are read off it.
     """
     __slots__ = ("invariant", "case", "manifold", "intermediate_seifert")
 
@@ -179,10 +175,6 @@ def _fiber(l: int, m: int) -> tuple[int, int]:
     return (n, pow(m, -1, n))
 
 
-def _three_fibers(f1: tuple[int, int], f2: tuple[int, int]) -> seifert.SeifertData:
-    return ((2, 1), f1, f2)
-
-
 # The seven cases, in case order.  Row k is (read1, read2, formula): read_i
 # maps side i's pair (l, m) to what case k reads of it, and the manifold is
 # formula(read1(l1, m1), read2(l2, m2)).  The formula sees nothing else, so
@@ -216,21 +208,6 @@ _CASES = (
 )
 
 
-def intermediate_seifert(inv: FlowInvariant) -> seifert.SeifertData:
-    """Unreduced fiber data (2,1), (|l1|, beta1), (|l2|, beta2).
-
-    beta_i is the representative of m_i^-1 (mod |l_i|) in (0, |l_i|), with
-    0 at multiplicity 1, as seifert.nu_of(|l_i|, m_i) gives it.  Defined
-    only when l1 * l2 != 0; ordinary fibers are kept, nothing is sorted or
-    absorbed.
-    """
-    if inv.l1 * inv.l2 == 0:
-        raise InvalidFlowInvariant(
-            f"intermediate fiber data needs l1 * l2 != 0, "
-            f"got {inv.quadruple()}", "undefined-intermediate")
-    return _three_fibers(_fiber(inv.l1, inv.m1), _fiber(inv.l2, inv.m2))
-
-
 def classify(inv: FlowInvariant) -> ClassificationResult:
     """Evaluate the case formula of _CASES on a validated invariant.
 
@@ -242,7 +219,7 @@ def classify(inv: FlowInvariant) -> ClassificationResult:
     read1, read2, formula = _CASES[case - 1]
     s1, s2 = read1(l1, m1), read2(l2, m2)
     # Case 7's formula read both fibers already.
-    inter = _three_fibers(s1, s2) if case == 7 else None
+    inter = ((2, 1), s1, s2) if case == 7 else None
     return ClassificationResult(inv, case, formula(s1, s2), inter)
 
 

@@ -12,8 +12,12 @@ instead of the closed formula, enumeration by keying every classified
 result instead of each distinct value once, selfcheck's tallies by
 classifying every quadruple instead of evaluating a case formula once
 per side-bucket pair, the order of a lattice quotient by counting
-residues over a box instead of growing a subgroup, and the command line
-by argparse, one subparser per command, instead of the CLI's own reader.
+residues over a box instead of growing a subgroup, the command line
+by argparse, one subparser per command, instead of the CLI's own reader,
+H1 of a quadruple by the Smith normal form of a Dehn-filling model
+instead of the case table (filling_h1, with two reads of a side), and
+the quadruples behind a case-7 value by counting residue progressions
+instead of walking the side buckets (case7_count).
 valid_invariants, the admissible quadruples in lexicographic order that
 these per-quadruple oracles walk, tests the side rule by gcd over the
 whole box and builds each invariant through validate_invariant.
@@ -156,6 +160,55 @@ def lens_of_plumbing_chain(fibers):
     arms = [_continued_fraction(x, y) for x, y in exc] + [[], []]
     chain = arms[0][::-1] + [-sum(y for x, y in fibers if x == 1)] + arms[1]
     return _chain_det(chain), _chain_det(chain[1:])
+
+
+def case7_read(l: int, m: int) -> tuple[int, int]:
+    """Case 7's read of a side with |l| >= 2: (|l|, m^-1 mod |l|)."""
+    return abs(l), pow(m, -1, abs(l))
+
+
+def sign_read(l: int, m: int) -> tuple[int, int]:
+    """The read that fits cases 4 and 5 instead: (|l|, -sign(l) m)."""
+    return abs(l), -m if l > 0 else m
+
+
+def filling_read(l, m, read):
+    """The filling of one side in filling_h1's model: (0, 1), along the
+    fiber, at l = 0 (the marker too); (1, 0) at |l| = 1; read(l, m) for
+    |l| >= 2."""
+    return (0, 1) if l == 0 else (1, 0) if abs(l) == 1 else read(l, m)
+
+
+def filling_h1(l1, m1, l2, m2, read):
+    """H1 of SFS(S2; (2,1), filling_read(l1, m1, read), filling_read(l2,
+    m2, read)), the Dehn-filling model of the seven cases: the (2,1) fiber
+    is the twisted saddle orbit and each side fills a solid torus into the
+    piece around it.  The group is the cokernel of the relation matrix on
+    the generators c_0, c_1, c_2 and h: alpha_i c_i + beta_i h = 0 and
+    c_0 + c_1 + c_2 = 0.
+    """
+    (a1, b1), (a2, b2) = filling_read(l1, m1, read), filling_read(l2, m2, read)
+    return cokernel([[2, 0, 0, 1], [0, a1, 0, b1], [0, 0, a2, b2], [1, 1, 1, 0]])
+
+
+def case7_count(value, bound):
+    """The number of admissible quadruples with |entries| <= bound that
+    classify to the case-7 value SFS(S2; (2,1), (a,x), (c,y)), counted on
+    the residue progressions of the reads.
+
+    A side reads (a, x) for 2 signs of l = +/-a times the m with |m| <= bound
+    and m = x^-1 (mod a), each coprime to a.  The two sides multiply, and
+    a value with (a, x) != (c, y) is reached in both side orders.
+    """
+    def side(alpha, beta):
+        if alpha > bound:
+            return 0
+        residue = pow(beta, -1, alpha)
+        return 2 * len(range(-bound + (residue + bound) % alpha, bound + 1, alpha))
+
+    _, f1, f2 = value.fibers
+    n = side(*f1) * side(*f2)
+    return n if f1 == f2 else 2 * n
 
 
 def valid_invariants(bound):

@@ -1,5 +1,8 @@
+import ast
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -13,7 +16,6 @@ from nmsflow.classifier import (
     classify,
     classify_quadruple,
     enumerate_invariants,
-    intermediate_seifert,
     validate_invariant,
 )
 from nmsflow.homology import h1
@@ -24,11 +26,18 @@ from nmsflow.manifolds import (
     Sphere,
     homeomorphic,
     homeomorphism_key,
-    seifert_over_s2,
 )
 from nmsflow.seifert import euler_number
 from nmsflow.selfcheck import check_case_partition, tally
-from oracles import enumerate_bruteforce, valid_invariants
+from oracles import (
+    case7_count,
+    case7_read,
+    enumerate_bruteforce,
+    filling_h1,
+    filling_read,
+    sign_read,
+    valid_invariants,
+)
 from timelimit import deadline
 
 
@@ -57,6 +66,20 @@ def test_validate_invariant_rules():
         with pytest.raises(InvalidFlowInvariant) as err:
             validate_invariant(*quad)
         assert err.value.rule == rule, quad
+
+
+def test_invalid_flow_invariant_documents_exactly_the_rules_raised():
+    # the rule strings of every InvalidFlowInvariant(...) in the package,
+    # read with ast, against the quoted names in the class docstring
+    raised = set()
+    for path in Path(classifier.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "InvalidFlowInvariant"):
+                rule = (node.args[1:] + [k.value for k in node.keywords])[0]
+                raised.add(ast.literal_eval(rule))
+    documented = set(re.findall(r'"([^"]+)"', InvalidFlowInvariant.__doc__))
+    assert documented == raised == {"non-coprime-pair", "malformed-inessential-marker"}
 
 
 def test_case_predicates_partition_exhaustively():
@@ -107,38 +130,25 @@ def test_classify_case_structure():
 
 
 def test_intermediate_seifert_frozen():
-    # classify keeps the triple in case 7 only, where it fibers the value.
-    # Elsewhere it is formal: (1, 0, 5, 2) gives S3, its triple has H1 Z/11.
+    # classify keeps the triple in case 7 only, where it fibers the value;
+    # test_filling_model_pins_both_reads pins the formal triple of 1 0 5 2.
     assert classify_quadruple(1, 0, 5, 2).intermediate_seifert is None
-    formal = intermediate_seifert(validate_invariant(1, 0, 5, 2))
-    assert formal == ((2, 1), (1, 0), (5, 3))
-    assert str(h1(seifert_over_s2(formal))) == "Z/11"
     assert (classify_quadruple(2, 1, 3, 2).intermediate_seifert
             == ((2, 1), (2, 1), (3, 2)))
     assert (classify_quadruple(3, 1, 5, 2).intermediate_seifert
             == ((2, 1), (3, 1), (5, 3)))
-    inv = validate_invariant(7, 3, -4, 1)
-    assert intermediate_seifert(inv) == ((2, 1), (7, 5), (4, 1))
-
-
-def test_intermediate_seifert_undefined_off_axis():
-    inv = validate_invariant(0, 1, 5, 2)
-    with pytest.raises(InvalidFlowInvariant) as err:
-        intermediate_seifert(inv)
-    assert err.value.rule == "undefined-intermediate"
+    assert (classify_quadruple(7, 3, -4, 1).intermediate_seifert
+            == ((2, 1), (7, 5), (4, 1)))
 
 
 def test_intermediate_beta_representatives():
-    # beta_i is m_i^-1 in (0, |l_i|), and 0 at multiplicity 1
+    # beta_i is m_i^-1 in (0, |l_i|); the filling model reads (1, 0) at |l| = 1
     for l, m in [(5, 2), (5, -2), (-5, 2), (7, 3), (9, -4), (2, 1)]:
-        inv = validate_invariant(l, m, 3, 1)
-        fibers = intermediate_seifert(inv)
-        alpha, beta = fibers[1]
+        alpha, beta = classify_quadruple(l, m, 3, 1).intermediate_seifert[1]
         assert alpha == abs(l)
         assert 0 < beta < alpha
         assert (beta * m - 1) % alpha == 0
-    inv = validate_invariant(1, 4, 3, 1)
-    assert intermediate_seifert(inv)[1] == (1, 0)
+    assert filling_read(1, 4, case7_read) == (1, 0)
 
 
 def test_classify_requires_validated_invariant():
@@ -370,9 +380,42 @@ def test_classify_intermediate_seifert_is_the_shared_read():
         res = classify(inv)
         inter = res.intermediate_seifert
         if res.case == 7:
-            assert inter == intermediate_seifert(inv), inv
+            assert inter == ((2, 1), case7_read(inv.l1, inv.m1),
+                             case7_read(inv.l2, inv.m2)), inv
         else:
             assert inter is None, inv
+
+
+def test_filling_model_pins_both_reads():
+    # ROADMAP item 8's question, pinned: with one Dehn-filling model for
+    # all seven cases, case 7's read fits cases 1, 2, 3, 6 and 7, the sign
+    # read fits cases 1-6, and they part only on sides with |l| >= 2.  An
+    # edit to a case formula or a read shows up in these counts.
+    totals, matches = {}, {case7_read: {}, sign_read: {}}
+    for inv in valid_invariants(6):
+        res = classify(inv)
+        group = h1(res.manifold)
+        totals[res.case] = totals.get(res.case, 0) + 1
+        for read, hits in matches.items():
+            if filling_h1(*inv.quadruple(), read) == group:
+                hits[res.case] = hits.get(res.case, 0) + 1
+    assert totals == {1: 282, 2: 188, 3: 6, 4: 1768, 5: 1768, 6: 676, 7: 4624}
+    assert matches[case7_read] == {**totals, 4: 468, 5: 468}
+    assert matches[sign_read] == {**totals, 7: 546}
+    # case 4's 1 0 5 2 is S3; case 7's read makes it (2,1),(1,0),(5,3), Z/11
+    assert classify_quadruple(1, 0, 5, 2).manifold == Sphere()
+    assert filling_read(5, 2, case7_read) == (5, 3)
+    assert str(filling_h1(1, 0, 5, 2, case7_read)) == "Z/11"
+    assert str(filling_h1(1, 0, 5, 2, sign_read)) == "0"
+
+
+def test_case7_counts_match_the_residue_progressions_at_bound_twenty():
+    # every class of case-7 values counts the quadruples of its values
+    classes = [c for c in enumerate_invariants(20)
+               if isinstance(c.representative, SeifertOverS2)]
+    assert len(classes) == 8128
+    for c in classes:
+        assert c.count == sum(case7_count(v, 20) for v in c.values), c
 
 
 def test_flow_invariant_is_frozen():

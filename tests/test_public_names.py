@@ -4,6 +4,12 @@ A public name (no leading underscore) must be referenced by a name, an
 attribute or an import in package code outside its own body, or be one
 that perfbench/tracing.py traces (TRACED), which reaches it by name.  The
 sources are read with ast, so nothing is imported.
+
+A field or a parameter may share a public function's name, so neither
+counts as a use of it: an attribute counts only when it is read off a
+package module's name (`seifert.normalize`, not `res.normalize`), and a
+name does not count where a parameter of an enclosing function or lambda
+shadows it.
 """
 
 import ast
@@ -12,16 +18,33 @@ from pathlib import Path
 from test_traced_names import _traced
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nmsflow"
+MODULES = frozenset(path.stem for path in PACKAGE.glob("*.py"))
 
 
-def _references(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
+def _parameters(args):
+    return {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            args.vararg, args.kwarg) if a is not None}
+
+
+def _references(node, shadowed=frozenset()):
+    if isinstance(node, ast.Name):
+        if node.id not in shadowed:
+            yield node.id
+        return
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in MODULES):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    body_scope = shadowed
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        # defaults, decorators and annotations are read outside the body
+        body_scope = shadowed | _parameters(node.args)
+    for field, value in ast.iter_fields(node):
+        scope = body_scope if field == "body" else shadowed
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _references(child, scope)
 
 
 def test_every_public_name_is_used_in_the_package():
@@ -42,3 +65,11 @@ def test_every_public_name_is_used_in_the_package():
                        for stmt in tree.body if stmt is not node):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+def test_a_field_or_a_parameter_of_the_same_name_is_no_use():
+    tree = ast.parse("from . import seifert\n"
+                     "def f(normalize, key=check):\n"
+                     "    return res.h1, normalize, seifert.euler_number,"
+                     " lambda cokernel: cokernel\n")
+    assert set(_references(tree)) == {"seifert", "check", "res", "euler_number"}
