@@ -27,7 +27,8 @@ it as an option otherwise, and exits 2 saying that the expression is
 missing.
 
 Exit codes: 0 success (homeo prints true or false), 1 expression parse
-error or a homeo operand past the key's search cap (seifert), 2
+error or a homeo summand past the key's search cap (seifert) that is left
+once the summands both sides share cancel (manifolds.homeomorphic), 2
 inadmissible quadruple or usage error, 3 selfcheck failure.
 
 Start-up is most of the time of one `classify`.  The package imports no

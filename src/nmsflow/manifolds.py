@@ -350,10 +350,55 @@ def homeomorphism_key(m: Manifold) -> Manifold:
     raise TypeError(f"not a manifold value: {m!r}")
 
 
+def _prime_summands(m: Manifold) -> tuple:
+    """The prime summands of a value: its summands if a sum, else itself."""
+    if isinstance(m, ConnectedSum):
+        return m.summands
+    if isinstance(m, Manifold):
+        return (m,)
+    raise TypeError(f"not a manifold value: {m!r}")
+
+
 def homeomorphic(a: Manifold, b: Manifold) -> bool:
     """Whether two values have equal homeomorphism keys; see
-    homeomorphism_key for the pairs where that is not homeomorphy."""
-    return homeomorphism_key(a) == homeomorphism_key(b)
+    homeomorphism_key for the pairs where that is not homeomorphy.
+
+    Equal prime summands of the two sides cancel first, as a multiset, and
+    only what is left is keyed.  That is the same relation: the key of a
+    sum is the sorted multiset of its summands' keys other than S3, and
+    equal summands have equal keys, so key(A) == key(B) iff
+    key(A - B) == key(B - A), where A - B is the multiset difference of
+    the prime summands.  Two equal values cancel whole and compare S3 with
+    S3, whatever their keys would cost.  Raises TypeError on anything but
+    a Manifold.  Both sides' summands are sorted by sort_key, which is
+    one-to-one on primes, so one merge pass finds the difference.
+
+    The law rests on unique prime decomposition and on a key that forgets
+    each summand's orientation (ROADMAP.md, item 1).  Once sums keep their
+    summands' orientations (item 1, stage B), a homeomorphism keeps all of
+    them or reverses all of them, so the cancellation must run on oriented
+    summands, once against each global orientation of the other side.
+    Cancelling unoriented summands would answer true on L(7,2) # L(7,2)
+    against L(7,2) # L(7,5), where the right answer is false.
+    """
+    left, right = _prime_summands(a), _prime_summands(b)
+    rest_a, rest_b = [], []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        x, y = left[i], right[j]
+        if x == y:
+            i += 1
+            j += 1
+        elif sort_key(x) < sort_key(y):
+            rest_a.append(x)
+            i += 1
+        else:
+            rest_b.append(y)
+            j += 1
+    rest_a += left[i:]
+    rest_b += right[j:]
+    return (homeomorphism_key(sum_normalize(rest_a))
+            == homeomorphism_key(sum_normalize(rest_b)))
 
 
 def is_prime(m: Manifold) -> bool:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from nmsflow import seifert
 from nmsflow.cli import _build_parser, main
 from nmsflow.expressions import parse_manifold
+from nmsflow.manifolds import homeomorphism_key
 from oracles import argparse_command_line
 from timelimit import deadline
 
@@ -572,11 +573,16 @@ _PAST_CAP = [[(alpha, 1) for alpha in range(3, 36)], [(alpha, 1) for alpha in ra
 
 def test_homeo_at_the_key_cap_answers(capsys):
     # The rewrite reverses the fibers and shifts one beta by its alpha,
-    # with a compensating (1, -1).
+    # with a compensating (1, -1).  It is the same value, which homeo
+    # cancels without keying, so the key is timed on its own as well.
     rewrite = _AT_CAP[::-1]
     rewrite[4] = (rewrite[4][0], rewrite[4][1] + rewrite[4][0])
+    left, right = _sfs(_AT_CAP), _sfs(rewrite + [(1, -1)])
     with deadline(2.0):
-        assert main(["homeo", _sfs(_AT_CAP), _sfs(rewrite + [(1, -1)])]) == 0
+        assert (homeomorphism_key(parse_manifold(left))
+                == homeomorphism_key(parse_manifold(right)))
+    with deadline(2.0):
+        assert main(["homeo", left, right]) == 0
     assert capsys.readouterr().out == "true\n"
 
 
@@ -586,8 +592,16 @@ def test_homeo_past_the_key_cap_exits_one_before_any_search(fibers, capsys, monk
         raise AssertionError("the key started its search")
 
     monkeypatch.setattr(seifert, "product", search)
+    # Equal values cancel whole, so they answer without a key.
     with deadline(1.0):
-        assert main(["homeo", _sfs(fibers), _sfs(fibers)]) == 1
+        assert main(["homeo", _sfs(fibers), _sfs(fibers)]) == 0
+    assert capsys.readouterr().out == "true\n"
+    # (3, 1) -> (3, 2) stays in its class of fibers, so the other operand
+    # is past the cap too, and it is another value.
+    other = [(3, 2)] + fibers[1:]
+    assert fibers[0] == (3, 1) and parse_manifold(_sfs(other)) != parse_manifold(_sfs(fibers))
+    with deadline(1.0):
+        assert main(["homeo", _sfs(fibers), _sfs(other)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

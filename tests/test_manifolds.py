@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nmsflow.manifolds as mf
 from nmsflow import seifert
@@ -240,7 +241,10 @@ def test_is_prime():
 
 def test_operations_reject_non_manifolds():
     for operation in (h1, mf.homeomorphism_key, mf.is_prime,
-                      lambda m: mf.sum_normalize([m])):
+                      lambda m: mf.sum_normalize([m]),
+                      lambda m: mf.homeomorphic(m, mf.Lens(5, 2)),
+                      lambda m: mf.homeomorphic(mf.Lens(5, 2), m),
+                      lambda m: mf.homeomorphic(m, m)):
         with pytest.raises(TypeError):
             operation("L(5,2)")
 
@@ -252,14 +256,17 @@ def test_homeomorphic_twenty_exceptional_fibers_in_seconds():
     # halves of 2^12 and 2^11 vectors.  A Fraction sum per subset of all
     # 24 (oracles.isomorphism_key_by_fraction_masks) would take minutes.
     # The rewrite shuffles the fibers, shifts one beta by its alpha with a
-    # compensating (1, -1) and adds (1, 0).
+    # compensating (1, -1) and adds (1, 0).  It is the same value, which
+    # homeomorphic cancels without keying, so this test and the two below
+    # time the key itself.
     fibers = [(alpha, 1) for alpha in range(2, 26)]
     rewrite = fibers[::-1]
     rewrite[4] = (rewrite[4][0], rewrite[4][1] + rewrite[4][0])
     rewrite += [(1, -1), (1, 0)]
     left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite)
+    assert left == right
     with deadline(1.0):
-        assert mf.homeomorphic(left, right)
+        assert mf.homeomorphism_key(left) == mf.homeomorphism_key(right)
 
 
 def _forty_fibers_in_three_classes():
@@ -277,8 +284,9 @@ def _forty_fibers_in_three_classes():
 def test_homeomorphic_forty_fibers_in_three_classes_within_a_second():
     fibers, rewrite = _forty_fibers_in_three_classes()
     left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite)
+    assert left == right
     with deadline(1.0):
-        assert mf.homeomorphic(left, right)
+        assert mf.homeomorphism_key(left) == mf.homeomorphism_key(right)
 
 
 def test_forty_fibers_with_another_h1_order_are_not_homeomorphic():
@@ -302,5 +310,45 @@ def test_homeomorphic_with_a_large_class_at_the_split_within_a_second():
     rewrite = fibers[::-1]
     rewrite[0] = (rewrite[0][0], rewrite[0][1] + rewrite[0][0])
     left, right = mf.seifert_over_s2(fibers), mf.seifert_over_s2(rewrite + [(1, -1)])
+    assert left == right
     with deadline(1.0):
-        assert mf.homeomorphic(left, right)
+        assert mf.homeomorphism_key(left) == mf.homeomorphism_key(right)
+
+
+def test_homeomorphic_keys_only_the_summands_left_after_cancelling(monkeypatch):
+    # 40 three-fiber summands, each a key search of its own.  The rewrite
+    # of each is the same value; the other side changes one beta.
+    summands = [[(2, 1), (3, 1), (alpha, 1)] for alpha in range(5, 45)]
+    rewrite = [[(1, 0), (3, 4), (2, 1), (alpha, 1), (1, -1)] for alpha in range(5, 45)]
+    changed = [fibers[:] for fibers in summands]
+    changed[17][2] = (22, 3)
+    left, same, other = (mf.sum_normalize([mf.seifert_over_s2(f) for f in side])
+                         for side in (summands, rewrite, changed))
+    assert left == same and left != other
+    calls, key = [], seifert._isomorphism_key
+
+    def counted(fibers):
+        calls.append(fibers)
+        return key(fibers)
+
+    monkeypatch.setattr(seifert, "_isomorphism_key", counted)
+    assert mf.homeomorphic(left, same)
+    assert calls == []
+    assert not mf.homeomorphic(left, other)
+    assert len(calls) <= 2
+
+
+_P1 = ("SFS(S2; (3,1),(4,1),(4,1))", "SFS(S2; (1,-1),(3,1),(4,3),(4,3))")
+# Summands that share keys with others in the pool or with S3, so that sums
+# drawn from it often cancel in part and compare equal keys of unequal values.
+_POOL = [mf.Sphere(), mf.S2xS1(), mf.RP3(), mf.Lens(5, 1),
+         mf.seifert_over_s2([(2, 1), (3, -1)]), mf.seifert_over_s2([(2, 1), (3, 1)]),
+         mf.seifert_over_s2([(3, 2)])] + [parse_manifold(text) for text in _P1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_POOL), max_size=8),
+       st.lists(st.sampled_from(_POOL), max_size=8))
+def test_homeomorphic_is_equality_of_keys(left, right):
+    a, b = mf.sum_normalize(left), mf.sum_normalize(right)
+    assert mf.homeomorphic(a, b) is (mf.homeomorphism_key(a) == mf.homeomorphism_key(b))
