@@ -319,12 +319,13 @@ def homeomorphism_key(m: Manifold) -> Manifold:
 
     Seifert values with <= 2 exceptional fibers resolve to their lens form,
     read off the stored normal form by the unvalidated core
-    seifert._lens_parameters; those with >= 3 keep their fibration but reduce the fibers to
-    seifert.isomorphism_key (a fibration with >= 3 exceptional fibers is
-    never a lens space).  Sums resolve summand-wise.  A Seifert value whose
-    fibers are already their key is returned itself; any other key is a
-    normal form, which _seifert stores without re-running normalize and
-    check_fibers.  Raises TypeError on anything but a Manifold.
+    seifert._lens_parameters; those with >= 3 keep their fibration but
+    reduce the fibers to seifert.isomorphism_key (a fibration with >= 3
+    exceptional fibers is never a lens space).  Sums resolve summand-wise.
+    A Seifert value whose fibers are already their key is returned itself;
+    any other key is a normal form, which _seifert stores without
+    re-running normalize and check_fibers.  Raises TypeError on anything
+    but a Manifold.
 
     Equal keys do not always mean homeomorphic values, nor different keys
     different manifolds (ROADMAP.md, item 1):

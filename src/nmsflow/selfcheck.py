@@ -20,8 +20,9 @@ Each check's verdict is a function of a key: the case predicates of
 (l1, l2), or h1 of the value, computed once per value, against x.  A
 failing key fails all its quadruples, so the checks count every
 quadruple while their work grows with the number of distinct keys, not
-of quadruples.  The checks over homeomorphism classes read the factored
-classes of enumerate_invariants.
+of quadruples.  The checks over homeomorphism classes read the tally's
+distinct values grouped by homeomorphism_key, so the battery walks the
+quadruples once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 
 from . import classifier, seifert
-from .classifier import FlowInvariant, case_predicates, classify, enumerate_invariants
+from .classifier import FlowInvariant, case_predicates, classify
 from .expressions import parse_manifold
 from .homology import AbelianGroup, h1, h1_seifert_presentation
 from .manifolds import (
@@ -195,25 +196,13 @@ def _classifies_as(inv, case, manifold) -> bool:
     return r.case == case and r.manifold == manifold
 
 
-def _values(groups):
-    """The distinct representatives and member values of the classes."""
-    values = {c.representative for c in groups}
-    for c in groups:
-        values.update(c.values)
-    return values
-
-
-def check_h1_classes(groups):
-    """h1 is constant on each homeomorphism class of enumerate_invariants."""
-    h1_of = {m: h1(m) for m in _values(groups)}
-    bad = 0
-    for c in groups:
-        seen = {h1_of[c.representative]}
-        seen.update(h1_of[m] for m in c.values)
-        if len(seen) != 1:
-            bad += 1
+def check_h1_classes(classes):
+    """h1 is constant on each homeomorphism class: on its key and on the
+    values of `classes`, which maps each key to its values."""
+    bad = sum(1 for key, members in classes.items()
+              if len({h1(m) for m in {key, *members}}) != 1)
     return (bad == 0,
-            f"h1 constant on {len(groups)} classes"
+            f"h1 constant on {len(classes)} classes"
             if bad == 0 else f"{bad} classes with mixed h1")
 
 
@@ -300,9 +289,9 @@ def check_seifert_forms(*, count=200, max_len=4, seed=_SEED + 1):
             if bad == 0 else f"{bad} violations")
 
 
-def check_roundtrip(groups):
-    """Every representative and member value survives render then parse."""
-    values = _values(groups)
+def check_roundtrip(classes):
+    """Every key and value of `classes` survives render then parse."""
+    values = set(classes).union(*classes.values())
     bad = [m for m in values if parse_manifold(str(m)) != m]
     return (not bad,
             f"{len(values)} distinct values round-trip"
@@ -314,36 +303,37 @@ def check_roundtrip(groups):
 CHECKS = (
     ("case-partition", check_case_partition, ("cases",)),
     ("h1-case-formulas", check_h1_case_formulas, ("values",)),
-    ("h1-on-homeo-classes", check_h1_classes, ("groups",)),
+    ("h1-on-homeo-classes", check_h1_classes, ("classes",)),
     ("case7-obstructions", check_case7_obstructions, ("values", "lens_like")),
     ("framing-involution", check_framing_involution, ()),
     ("seifert-normal-forms", check_seifert_forms, ()),
-    ("render-parse-roundtrip", check_roundtrip, ("groups",)),
+    ("render-parse-roundtrip", check_roundtrip, ("classes",)),
 )
 
 
 def run_selfcheck(bound: int, write=print) -> int:
     """Run every registered check at its defaults and the given bound.
 
-    `groups` holds the factored homeomorphism classes of
-    enumerate_invariants, which evaluates a case formula once per
-    distinct value, and `lens_like` the lens-type class representatives.
-    `cases` and `values` are the two tallies of tally(bound), a fold over
-    the same walk as enumerate_invariants' that keeps no result per
+    `cases` and `values` are the two tallies of tally(bound), one fold
+    over the walk classifier._products that keeps no result per
     quadruple, so memory grows with the number of distinct keys, not of
-    quadruples.
-    The classes come first, so that enumerate_invariants' working memory
-    is freed before the tallies grow.  Returns 0 when all hard checks
-    pass, 3 otherwise.
+    quadruples.  `classes` maps each homeomorphism key to the distinct
+    values of the tally with that key, and `lens_like` holds the
+    lens-type keys.  tally and enumerate_invariants evaluate the same
+    case formulas over the same quadruples, so these are the classes of
+    enumerate_invariants without a second walk.  Returns 0 when all hard
+    checks pass, 3 otherwise.
     """
-    groups = enumerate_invariants(bound)
     cases, values = tally(bound)
+    classes = {}
+    for m in {m for _, m, _ in values}:
+        classes.setdefault(homeomorphism_key(m), set()).add(m)
     inputs = {
         "cases": cases,
         "values": values,
-        "groups": groups,
-        "lens_like": [c.representative for c in groups
-                      if isinstance(c.representative, (Sphere, S2xS1, RP3, Lens))],
+        "classes": classes,
+        "lens_like": [key for key in classes
+                      if isinstance(key, (Sphere, S2xS1, RP3, Lens))],
     }
     write(f"selfcheck: bound {bound}, {sum(cases.values())} admissible quadruples")
     failures = 0

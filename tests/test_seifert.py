@@ -202,6 +202,20 @@ def test_isomorphism_key_takes_the_second_sum_of_a_residue_when_the_first_gives_
     assert isomorphism_key_by_fraction_masks(fibers) == key
 
 
+def test_isomorphism_key_replaces_a_runner_up_below_the_largest_sum():
+    # A right-half sum that falls between the largest sum of its residue
+    # mod L and the runner-up kept so far must become the runner-up.
+    # Without that update a smaller runner-up stays, the given flip
+    # vector ranks first, and the key comes out as the input's own normal
+    # form.
+    fibers = [(3, 1), (5, 1), (5, 3), (5, 4), (5, 4), (7, 1), (7, 2), (7, 2),
+              (7, 5), (7, 5), (7, 5), (7, 5)]
+    key = ((1, 1), (3, 1), (5, 1), (5, 3), (5, 4), (5, 4), (7, 2), (7, 2),
+           (7, 2), (7, 2), (7, 2), (7, 2), (7, 6))
+    assert seifert.isomorphism_key(fibers) == key
+    assert isomorphism_key_by_fraction_masks(fibers) == key
+
+
 def test_isomorphism_key_agrees_with_isomorphic_seeded():
     rng = random.Random(97)
     pool = [random_fibers(rng, max_len=3, alpha_max=6, beta_max=9)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from nmsflow import classifier, cli, selfcheck
+from nmsflow import classifier, cli, seifert, selfcheck
 from nmsflow.classifier import case_predicates, classify
 from nmsflow.homology import AbelianGroup, h1
-from nmsflow.manifolds import Sphere, lens_canonical
+from nmsflow.manifolds import Lens, Sphere, lens_canonical
+from nmsflow.surgery import Framing
 from oracles import tally_by_classify, valid_invariants
 from timelimit import deadline
 
@@ -51,24 +52,22 @@ def test_h1_formula_fault_fails_the_battery(monkeypatch):
     assert lines[-1] == "selfcheck: 1 hard failure(s)"
 
 
-BATTERY_6 = """\
-selfcheck: bound 6, 9312 admissible quadruples
-PASS case-partition             9312 quadruples, exactly one case each
-PASS h1-case-formulas           h1 matches the case formulas on 9312 results
-PASS h1-on-homeo-classes        h1 constant on 94 classes
-PASS case7-obstructions         66 fibered outputs prime and distinct from 21 lens-type classes
-PASS framing-involution         double inversion fixes 1600 framings; saddle inverts to (1,2)
-PASS seifert-normal-forms       200 random fiber lists: normalize/euler/h1/key consistent
-PASS render-parse-roundtrip     98 distinct values round-trip
-selfcheck: all 7 hard checks passed
-"""
+def _table_block(bound):
+    """The report of `selfcheck --bound <bound>` in the bounds table."""
+    head = f"selfcheck: bound {bound}, "
+    table = BOUNDS_0_TO_8.read_text()
+    start = table.index(head)
+    end = table.find("selfcheck: bound ", start + len(head))
+    return table[start:end if end >= 0 else None]
 
 
 def test_battery_report_at_bound_6(capsys):
     # Every count of the default battery, line for line: counting by key
     # in the tallies must not move any of them.
+    block = _table_block(6)
+    assert block.count("\n") == len(selfcheck.CHECKS) + 2
     assert cli.main(["selfcheck", "--bound", "6"]) == 0
-    assert capsys.readouterr().out == BATTERY_6
+    assert capsys.readouterr().out == block
 
 
 def test_battery_reports_at_bounds_0_to_8_match_table(capsys):
@@ -268,3 +267,48 @@ def test_tally_keeps_both_orders_of_a_symmetric_product(monkeypatch):
     table[6] = (own_pair, own_pair, lambda a, b: frozenset((a, b)))
     monkeypatch.setattr(classifier, "_CASES", tuple(table))
     assert selfcheck.tally(3) == tally_by_classify(3)
+
+
+def _fails(bound):
+    lines = []
+    assert selfcheck.run_selfcheck(bound, write=lines.append) == 3
+    return [line for line in lines if line.startswith("FAIL")]
+
+
+def test_lens_values_keyed_as_the_sphere_fail_the_class_check(monkeypatch):
+    # One class then holds S3 and every lens value of the tally, whose h1
+    # differ.  The case-7 outputs keep their keys, and S3 is still a
+    # lens-type key, so only the class check fails.
+    key = selfcheck.homeomorphism_key
+    monkeypatch.setattr(selfcheck, "homeomorphism_key", lambda m: (
+        Sphere() if isinstance(m, Lens) else key(m)))
+    assert _fails(3) == [f"FAIL {'h1-on-homeo-classes':<26} 1 classes with mixed h1"]
+
+
+@pytest.mark.parametrize("invert, bad", [
+    # A quarter turn (beta, alpha) -> (alpha, -beta) has order 4: twice it
+    # gives (-beta, -alpha), equivalent to no framing in the grid, and the
+    # saddle (-1, 0) goes to (0, 1).
+    (lambda f: Framing(f.alpha, -f.beta), 1600 + 1),
+    # The identity is an involution but leaves the saddle at (-1, 0).
+    (lambda f: f, 1),
+], ids=["quarter-turn", "identity"])
+def test_framing_faults_fail_the_involution_check(monkeypatch, invert, bad):
+    monkeypatch.setattr(selfcheck, "invert_framing", invert)
+    assert _fails(1) == [f"FAIL {'framing-involution':<26} {bad} violations"]
+
+
+@pytest.mark.parametrize("module, name, fault, bad", [
+    # A Seifert space over S2 has rank at most 1, so h1 of every list's
+    # value and of its key differ from this presentation: two violations
+    # per list.
+    (selfcheck, "h1_seifert_presentation", lambda fibers: AbelianGroup(7),
+     2 * 200),
+    # A key that keeps the order and the ordinary (1, 0) fiber tells every
+    # list from its shuffle with (1, 0) appended: one violation per list.
+    (seifert, "isomorphism_key", lambda fibers: tuple(fibers), 200),
+], ids=["presentation", "isomorphism-key"])
+def test_seifert_faults_fail_the_normal_form_check(monkeypatch, module, name,
+                                                  fault, bad):
+    monkeypatch.setattr(module, name, fault)
+    assert _fails(1) == [f"FAIL {'seifert-normal-forms':<26} {bad} violations"]
